@@ -63,6 +63,28 @@ class TestGoldenFiles:
         deltas = [r["delta_energy"] for r in csv.DictReader(io.StringIO(out))]
         assert deltas[:3] == ["0.75", "0.9", "0.909090909090909"]
 
+    @pytest.mark.parametrize(
+        "golden, args",
+        [
+            # half-integer spins rendered as fractions
+            ("levels_q0.8_jmax4.txt",
+             ("levels", "--q", "0.8", "--j-max", "4", "--format", "table")),
+            ("lines_q1.1_lower1_1.json",
+             ("lines", "--q", "1.1", "--j-max", "4", "--lower-j", "1", "--lower-m", "1",
+              "--format", "json")),
+            # flagged points: null numbers and a quoted flag
+            ("scan_j2_overflow.json",
+             ("scan", "--j", "2", "--s-values", "0,0.1,800", "--format", "json")),
+            # relation names contain commas and must stay quoted
+            ("verify_q1.1_jmax2.csv", ("verify", "--q", "1.1", "--j-max", "2")),
+        ],
+    )
+    def test_emitter_bytes(self, capsys, golden, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0
+        assert err == ""
+        assert out == (GOLDEN / golden).read_text()
+
 
 class TestLevelsCommand:
     def test_csv_columns_exact(self, capsys):

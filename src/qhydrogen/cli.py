@@ -10,6 +10,8 @@ success, 1 on a validation error and 2 on a computational error
 
 from __future__ import annotations
 
+import csv
+import io
 import sys
 from typing import Any, Sequence
 
@@ -17,7 +19,7 @@ import click
 import numpy as np
 
 from .irreps import build_irrep, casimir_identity_report, verify_commutators
-from .lines import DegenerateTransitionError, series_table, splitting_scan
+from .lines import series_table, splitting_scan
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel
 from .spectrum import (
     NonPositiveDenominatorError,
@@ -56,7 +58,7 @@ def _half(twice: int) -> str:
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
-def _scalar(value: Any) -> str:
+def _cell(value: Any) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -66,37 +68,28 @@ def _scalar(value: Any) -> str:
     return str(value)
 
 
-def _json_scalar(value: Any) -> str:
+def _json_value(value: Any) -> str:
     if value is None:
         return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.15g}"
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return str(value)
+    return _cell(value)
 
 
-def _csv_cell(value: Any) -> str:
-    text = _scalar(value)
-    if any(ch in text for ch in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _emit_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(value) for value in row] for row in rows)
+    return buffer.getvalue()
 
 
-def _emit_csv(columns: Sequence[str], rows: Sequence[dict[str, Any]]) -> str:
-    out = [",".join(_csv_cell(c) for c in columns)]
-    for row in rows:
-        out.append(",".join(_csv_cell(row[c]) for c in columns))
-    return "\n".join(out) + "\n"
-
-
-def _emit_json(config: dict[str, Any], columns: Sequence[str], rows: Sequence[dict[str, Any]]) -> str:
-    config_body = ", ".join(f'"{k}": {_json_scalar(v)}' for k, v in config.items())
+def _emit_json(config: dict[str, Any], columns: Sequence[str], rows: Sequence[tuple]) -> str:
+    config_body = ", ".join(f'"{k}": {_json_value(v)}' for k, v in config.items())
+    keys = [f'"{c}": ' for c in columns]
     row_lines = []
     for row in rows:
-        body = ", ".join(f'"{c}": {_json_scalar(row[c])}' for c in columns)
+        body = ", ".join([key + _json_value(value) for key, value in zip(keys, row)])
         row_lines.append("    {" + body + "}")
     rows_body = ",\n".join(row_lines)
     return (
@@ -107,18 +100,14 @@ def _emit_json(config: dict[str, Any], columns: Sequence[str], rows: Sequence[di
     )
 
 
-def _emit_table(columns: Sequence[str], rows: Sequence[dict[str, Any]]) -> str:
+def _emit_table(columns: Sequence[str], rows: Sequence[tuple]) -> str:
     names = [_FRACTION_COLUMNS.get(c, c) for c in columns]
-    rendered = []
-    for row in rows:
-        cells = []
-        for c in columns:
-            value = row[c]
-            if c in _FRACTION_COLUMNS and value is not None:
-                cells.append(_half(int(value)))
-            else:
-                cells.append(_scalar(value))
-        rendered.append(cells)
+    fraction = [c in _FRACTION_COLUMNS for c in columns]
+    rendered = [
+        [_half(value) if frac and value is not None else _cell(value)
+         for value, frac in zip(row, fraction)]
+        for row in rows
+    ]
     widths = [max(len(n), *(len(r[i]) for r in rendered)) if rendered else len(n)
               for i, n in enumerate(names)]
     out = ["  ".join(n.ljust(w) for n, w in zip(names, widths)).rstrip()]
@@ -128,7 +117,7 @@ def _emit_table(columns: Sequence[str], rows: Sequence[dict[str, Any]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _render(fmt: str, config: dict[str, Any], columns: Sequence[str], rows: Sequence[dict[str, Any]]) -> str:
+def _render(fmt: str, config: dict[str, Any], columns: Sequence[str], rows: Sequence[tuple]) -> str:
     if fmt == "csv":
         return _emit_csv(columns, rows)
     if fmt == "json":
@@ -203,14 +192,8 @@ def levels(q, s, twice_j_max, mode, units, fmt, output) -> None:
     table = level_table(SpinLabel(twice_j_max), d, mode)
     columns = ["twice_j", "twice_abs_m", "n", "energy", "unit", "multiplicity"]
     rows = [
-        {
-            "twice_j": lv.j.twice_j,
-            "twice_abs_m": lv.twice_abs_m,
-            "n": lv.principal_n,
-            "energy": u.convert(lv.energy_ry),
-            "unit": u.output_unit,
-            "multiplicity": lv.multiplicity,
-        }
+        (lv.j.twice_j, lv.twice_abs_m, lv.principal_n, u.convert(lv.energy_ry),
+         u.output_unit, lv.multiplicity)
         for lv in table
     ]
     config = {"command": "levels", "q": d.q, "s": d.s, "twice_j_max": twice_j_max,
@@ -229,10 +212,7 @@ def states(twice_j, mode, fmt, output) -> None:
     """Enumerate the coupled (m, p) states at one spin."""
     state_list = enumerate_states(SpinLabel(twice_j), mode)
     columns = ["twice_j", "twice_m", "twice_p"]
-    rows = [
-        {"twice_j": st.j.twice_j, "twice_m": st.twice_m, "twice_p": st.twice_p}
-        for st in state_list
-    ]
+    rows = [(st.j.twice_j, st.twice_m, st.twice_p) for st in state_list]
     config = {"command": "states", "twice_j": twice_j, "mode": mode, "count": len(rows)}
     _write(_render(fmt, config, columns, rows), output)
 
@@ -256,22 +236,12 @@ def lines(q, s, twice_j_max, lower_twice_j, lower_twice_abs_m, units, fmt, outpu
         table = series_table(SpinLabel(lower_twice_j), lower_twice_abs_m,
                              SpinLabel(twice_j_max), d, u)
     except ValueError as exc:
-        if isinstance(exc, DegenerateTransitionError):
-            raise
         raise click.UsageError(str(exc)) from None
     columns = ["upper_twice_j", "upper_twice_abs_m", "lower_twice_j", "lower_twice_abs_m",
                "delta_energy", "unit", "wavenumber_per_cm", "wavelength_nm"]
     rows = [
-        {
-            "upper_twice_j": line.upper[0].twice_j,
-            "upper_twice_abs_m": line.upper[1],
-            "lower_twice_j": line.lower[0].twice_j,
-            "lower_twice_abs_m": line.lower[1],
-            "delta_energy": line.delta_energy,
-            "unit": u.output_unit,
-            "wavenumber_per_cm": line.wavenumber_per_cm,
-            "wavelength_nm": line.wavelength_nm,
-        }
+        (line.upper[0].twice_j, line.upper[1], line.lower[0].twice_j, line.lower[1],
+         line.delta_energy, u.output_unit, line.wavenumber_per_cm, line.wavelength_nm)
         for line in table
     ]
     config = {"command": "lines", "q": d.q, "s": d.s, "twice_j_max": twice_j_max,
@@ -309,8 +279,7 @@ def scan(twice_j, s_values_text, s_min, s_max, s_count, fmt, output) -> None:
     rows_data = splitting_scan(SpinLabel(twice_j), s_values)
     columns = ["s", "q", "twice_j", "twice_abs_m", "energy_ry", "deviation_ry", "flag"]
     rows = [
-        {"s": r.s, "q": r.q, "twice_j": r.twice_j, "twice_abs_m": r.twice_abs_m,
-         "energy_ry": r.energy_ry, "deviation_ry": r.deviation_ry, "flag": r.flag}
+        (r.s, r.q, r.twice_j, r.twice_abs_m, r.energy_ry, r.deviation_ry, r.flag)
         for r in rows_data
     ]
     config = {"command": "scan", "twice_j": twice_j, "s_count": len(s_values)}
@@ -336,28 +305,21 @@ def verify(q, s, twice_j_max, tolerance, fmt, output) -> None:
     d = _resolve_deformation(q, s)
     columns = ["twice_j", "q", "relation", "max_deviation", "tolerance", "passed"]
     rows = []
-    all_passed = True
+    failed = 0
     for tj in range(twice_j_max + 1):
         r = build_irrep(SpinLabel(tj), d)
         reports = verify_commutators(r, tolerance)
         reports.append(casimir_identity_report(r, tolerance))
         for rep in reports:
-            all_passed = all_passed and rep.passed
-            rows.append({
-                "twice_j": tj,
-                "q": d.q,
-                "relation": rep.relation_name,
-                "max_deviation": rep.max_abs_deviation,
-                "tolerance": rep.tolerance,
-                "passed": rep.passed,
-            })
+            failed += not rep.passed
+            rows.append((tj, d.q, rep.relation_name, rep.max_abs_deviation, rep.tolerance,
+                         rep.passed))
     config = {"command": "verify", "q": d.q, "s": d.s, "twice_j_max": twice_j_max,
               "tolerance": tolerance}
     _write(_render(fmt, config, columns, rows), output)
-    if not all_passed:
+    if failed:
         raise VerificationFailedError(
-            f"{sum(1 for row in rows if not row['passed'])} of {len(rows)} relations "
-            f"exceeded tolerance {tolerance:g}"
+            f"{failed} of {len(rows)} relations exceeded tolerance {tolerance:g}"
         )
 
 
@@ -399,8 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except (NonPositiveDenominatorError, QNumberOverflowError,
-            DegenerateTransitionError, VerificationFailedError) as exc:
+    except (NonPositiveDenominatorError, QNumberOverflowError, VerificationFailedError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     return 0

@@ -13,7 +13,13 @@ import math
 from dataclasses import dataclass
 
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel
-from .spectrum import NonPositiveDenominatorError, UnitsConfig, energy, energy_undeformed
+from .spectrum import (
+    NonPositiveDenominatorError,
+    UnitsConfig,
+    energy,
+    energy_undeformed,
+    level_table,
+)
 
 LevelKey = tuple[SpinLabel, int]
 
@@ -77,6 +83,20 @@ class ScanRow:
     flag: str
 
 
+def _line(
+    upper: LevelKey, e_upper: float, lower: LevelKey, e_lower: float, units: UnitsConfig
+) -> TransitionLine:
+    delta_ry = e_upper - e_lower
+    wavenumber = delta_ry * units.rydberg_per_cm
+    return TransitionLine(
+        upper=upper,
+        lower=lower,
+        delta_energy=units.convert(delta_ry),
+        wavenumber_per_cm=wavenumber,
+        wavelength_nm=1e7 / wavenumber,
+    )
+
+
 def transition(
     upper: LevelKey,
     lower: LevelKey,
@@ -90,7 +110,6 @@ def transition(
     :class:`DegenerateTransitionError` when the two energies are
     exactly equal.
     """
-    units = units or UnitsConfig()
     e_first = energy(upper[0], upper[1], d)
     e_second = energy(lower[0], lower[1], d)
     if e_first == e_second:
@@ -98,15 +117,7 @@ def transition(
     if e_first < e_second:
         upper, lower = lower, upper
         e_first, e_second = e_second, e_first
-    delta_ry = e_first - e_second
-    wavenumber = delta_ry * units.rydberg_per_cm
-    return TransitionLine(
-        upper=upper,
-        lower=lower,
-        delta_energy=units.convert(delta_ry),
-        wavenumber_per_cm=wavenumber,
-        wavelength_nm=1e7 / wavenumber,
-    )
+    return _line(upper, e_first, lower, e_second, units or UnitsConfig())
 
 
 def series_table(
@@ -118,10 +129,11 @@ def series_table(
 ) -> list[TransitionLine]:
     """All lines from levels above the given lower level down to it.
 
-    Candidate upper levels are every deformed (j, |m|) with j <= j_max
-    and energy strictly above the lower level.  Exactly coincident
-    candidates (the m-split sublevels merge at q = 1) produce a single
-    line, keeping the smallest (j, |m|) as the label.  Sorted by
+    Candidate upper levels are the rows of the deformed
+    :func:`level_table` up to j_max with energy strictly above the lower
+    level.  Exactly coincident candidates (the m-split sublevels merge
+    at q = 1) produce a single line labelled by the first of them in
+    the table's tie order, i.e. the smallest (j, |m|).  Sorted by
     ascending transition energy; empty if nothing lies above.
     """
     if j_max < lower_j:
@@ -130,18 +142,15 @@ def series_table(
             f"(twice_j={lower_j.twice_j})"
         )
     units = units or UnitsConfig()
+    lower = (lower_j, lower_twice_abs_m)
     e_lower = energy(lower_j, lower_twice_abs_m, d)
-    uppers: list[tuple[float, LevelKey]] = []
-    seen: set[float] = set()
-    for tj in range(j_max.twice_j + 1):
-        j = SpinLabel(tj)
-        for tam in range(tj % 2, tj + 1, 2):
-            e = energy(j, tam, d)
-            if e > e_lower and e not in seen:
-                seen.add(e)
-                uppers.append((e, (j, tam)))
-    uppers.sort(key=lambda item: item[0])
-    return [transition(key, (lower_j, lower_twice_abs_m), d, units) for _, key in uppers]
+    lines: list[TransitionLine] = []
+    e_last = e_lower
+    for lv in level_table(j_max, d, "deformed"):
+        if lv.energy_ry > e_last:
+            lines.append(_line((lv.j, lv.twice_abs_m), lv.energy_ry, lower, e_lower, units))
+            e_last = lv.energy_ry
+    return lines
 
 
 def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:

@@ -267,6 +267,13 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "lines", "--lower-j", "4", "--j-max", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("lower_j, lower_m", [("2", "1"), ("2", "4"), ("3", "5")])
+    def test_lines_invalid_lower_m_is_validation(self, capsys, lower_j, lower_m):
+        code, out, err = run_cli(capsys, "lines", "--lower-j", lower_j, "--lower-m", lower_m)
+        assert code == 1
+        assert out == ""
+        assert "not a valid weight" in err
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
         assert run_cli(capsys, "levels", "--help")[0] == 0

@@ -96,6 +96,17 @@ class TestSeriesTable:
         assert deltas == sorted(deltas)
         assert all(d > 0 for d in deltas)
 
+    @pytest.mark.parametrize("q", [1.0, 0.6, 1.7])
+    @pytest.mark.parametrize("lower", [(0, 0), (1, 1)])
+    @pytest.mark.parametrize("unit", ["rydberg", "ev", "wavenumber_per_cm"])
+    def test_lines_equal_transition(self, q, lower, unit):
+        d = DeformationParameter(q)
+        units = UnitsConfig(output_unit=unit)
+        table = series_table(SpinLabel(lower[0]), lower[1], SpinLabel(8), d, units)
+        assert table
+        for line in table:
+            assert line == transition(line.upper, line.lower, d, units)
+
     def test_q_one_reproduces_rydberg_differences(self):
         # Lyman analog: lower n = 1
         table = series_table(SpinLabel(0), 0, SpinLabel(8), DeformationParameter(1.0))

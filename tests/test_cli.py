@@ -77,6 +77,13 @@ class TestGoldenFiles:
              ("scan", "--j", "2", "--s-values", "0,0.1,800", "--format", "json")),
             # relation names contain commas and must stay quoted
             ("verify_q1.1_jmax2.csv", ("verify", "--q", "1.1", "--j-max", "2")),
+            # brackets from the small-s series branch
+            ("levels_s1e-6_jmax6.csv",
+             ("levels", "--s", "1e-6", "--j-max", "6", "--format", "csv")),
+            # series branch, s = 0 and the overflow flag in one scan
+            ("scan_j5_series_overflow.csv",
+             ("scan", "--j", "5", "--s-values", "0,1e-6,-1e-6,0.3,-0.3,709.5",
+              "--format", "csv")),
         ],
     )
     def test_emitter_bytes(self, capsys, golden, args):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import sys
 from typing import Any, Sequence
 
@@ -274,7 +275,13 @@ def scan(twice_j, s_values_text, s_min, s_max, s_count, fmt, output) -> None:
                                    f"{s_values_text!r}") from None
         if not s_values:
             raise click.UsageError("--s-values contained no values")
+        for value in s_values:
+            if not math.isfinite(value):
+                raise click.UsageError(f"--s-values must be finite, got {value!r}")
     else:
+        for name, value in (("--s-min", s_min), ("--s-max", s_max)):
+            if not math.isfinite(value):
+                raise click.UsageError(f"{name} must be finite, got {value!r}")
         s_values = [float(v) for v in np.linspace(s_min, s_max, s_count)]
     rows_data = splitting_scan(SpinLabel(twice_j), s_values)
     columns = ["s", "q", "twice_j", "twice_abs_m", "energy_ry", "deviation_ry", "flag"]

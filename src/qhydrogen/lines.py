@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel
+from .qnum import DeformationParameter, SpinLabel
 from .spectrum import (
-    NonPositiveDenominatorError,
     UnitsConfig,
+    _brackets,
+    _denominators,
     energy,
     energy_undeformed,
     level_table,
@@ -159,28 +160,34 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
     One row per s value (in input order) per |m| (ascending).  Rows are
     in Rydberg throughout, matching the scan CSV schema.  Evaluation
     failures flag the row instead of aborting the scan.
+
+    Each s value evaluates the brackets [k/2], k <= 2j+2, once and
+    combines them in the operation order of
+    :func:`~qhydrogen.spectrum.denominator`, so every clean row equals
+    ``energy(j, twice_abs_m, q)`` bit for bit.  Every row of an s whose
+    [j+1] overflows is flagged "overflow"; a row whose denominator is
+    not positive is flagged "nonpositive_denominator".
     """
+    tj = j.twice_j
+    twice_abs_ms = range(tj % 2, tj + 1, 2)
     e_flat = energy_undeformed(j)
     rows: list[ScanRow] = []
     for s in s_values:
         s = float(s)
         if not math.isfinite(s):
             raise ValueError(f"s values must be finite, got {s!r}")
-        d = None
-        if abs(s) <= _MAX_ABS_S:
-            d = DeformationParameter.from_s(s)
-        for tam in range(j.twice_j % 2, j.twice_j + 1, 2):
-            if d is None:
-                rows.append(ScanRow(s, None, j.twice_j, tam, None, None, "overflow"))
-                continue
-            try:
-                e = energy(j, tam, d)
-            except QNumberOverflowError:
-                rows.append(ScanRow(s, d.q, j.twice_j, tam, None, None, "overflow"))
-            except NonPositiveDenominatorError:
-                rows.append(
-                    ScanRow(s, d.q, j.twice_j, tam, None, None, "nonpositive_denominator")
-                )
+        if abs(s) > _MAX_ABS_S:
+            rows.extend(ScanRow(s, None, tj, tam, None, None, "overflow") for tam in twice_abs_ms)
+            continue
+        d = DeformationParameter.from_s(s)
+        b, overflow = _brackets(tj + 2, d)
+        if overflow is not None:
+            rows.extend(ScanRow(s, d.q, tj, tam, None, None, "overflow") for tam in twice_abs_ms)
+            continue
+        for tam, value in zip(twice_abs_ms, _denominators(tj, b)):
+            if value > 0.0:
+                e = -2.0 / value
+                rows.append(ScanRow(s, d.q, tj, tam, e, e - e_flat, ""))
             else:
-                rows.append(ScanRow(s, d.q, j.twice_j, tam, e, e - e_flat, ""))
+                rows.append(ScanRow(s, d.q, tj, tam, None, None, "nonpositive_denominator"))
     return rows

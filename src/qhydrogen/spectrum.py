@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .qnum import DeformationParameter, SpinLabel, qnumber
+from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
 
 Mode = Literal["deformed", "undeformed"]
 
@@ -142,6 +142,44 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
+def _combine(bj: float, bj1: float, bm: float, bm_up: float, bm_down: float, m: float) -> float:
+    # The one place D is assembled from [j], [j+1], [m], [m+1], [m-1] and m.
+    # Every builder goes through it, so a table row and a scalar call of
+    # denominator() round identically.
+    return 8.0 * (bj * bj1) - 4.0 * (bm * (bm_up + bm_down)) + 8.0 * (m * m) + 2.0
+
+
+def _brackets(
+    k_max: int, d: DeformationParameter
+) -> tuple[list[float], QNumberOverflowError | None]:
+    """The brackets [k/2] for k = 0..k_max, and the overflow that cut them short.
+
+    Brackets grow in magnitude with k, so the list stops at the first k
+    whose bracket overflows and that error is returned with it; it is
+    the error a scalar evaluation of the first row needing [k/2] raises.
+    """
+    table: list[float] = []
+    for k in range(k_max + 1):
+        try:
+            table.append(qnumber(k / 2.0, d))
+        except QNumberOverflowError as exc:
+            return table, exc
+    return table, None
+
+
+def _denominators(twice_j: int, b: list[float]) -> list[float]:
+    """D at spin j for each |m| in ascending order, from b[k] = [k/2], k <= 2j+2.
+
+    [m-1] for |m| < 1 is taken as -[1-|m|], the odd reflection qnumber
+    itself applies to a negative argument.
+    """
+    bj, bj1 = b[twice_j], b[twice_j + 2]
+    return [
+        _combine(bj, bj1, b[tam], b[tam + 2], b[tam - 2] if tam >= 2 else -b[2 - tam], tam / 2.0)
+        for tam in range(twice_j % 2, twice_j + 1, 2)
+    ]
+
+
 def denominator(j: SpinLabel, twice_m: int, d: DeformationParameter) -> float:
     """Energy denominator D = 8[j][j+1] - 4[m]([m+1] + [m-1]) + 8 m^2 + 2.
 
@@ -154,9 +192,14 @@ def denominator(j: SpinLabel, twice_m: int, d: DeformationParameter) -> float:
     """
     _check_weight(j, twice_m)
     m = twice_m / 2.0
-    jj = qnumber(j.twice_j / 2.0, d) * qnumber(j.twice_j / 2.0 + 1.0, d)
-    mm = qnumber(m, d) * (qnumber(m + 1.0, d) + qnumber(m - 1.0, d))
-    value = 8.0 * jj - 4.0 * mm + 8.0 * (m * m) + 2.0
+    value = _combine(
+        qnumber(j.twice_j / 2.0, d),
+        qnumber(j.twice_j / 2.0 + 1.0, d),
+        qnumber(m, d),
+        qnumber(m + 1.0, d),
+        qnumber(m - 1.0, d),
+        m,
+    )
     if not value > 0.0:
         raise NonPositiveDenominatorError(j.twice_j, twice_m, d.q, value)
     return value
@@ -202,8 +245,17 @@ def level_table(j_max: SpinLabel, d: DeformationParameter, mode: Mode) -> list[E
     j with the full n^2 multiplicity.  Rows are sorted by ascending
     energy with ties broken by ascending j then ascending |m|, so the
     output is deterministic even where levels coincide (e.g. at q = 1).
+
+    Deformed energies are evaluated from one table of the 2j_max + 3
+    brackets [k/2], each computed once, and combined in the operation
+    order of :func:`denominator`, so every row equals
+    ``energy(j, twice_abs_m, d)`` bit for bit.  Failures are raised for
+    the first failing row in ascending (j, |m|) order, as a row-by-row
+    evaluation would raise them.
     """
     _check_mode(mode)
+    if mode == "deformed":
+        b, overflow = _brackets(j_max.twice_j + 2, d)
     levels: list[EnergyLevel] = []
     for tj in range(j_max.twice_j + 1):
         j = SpinLabel(tj)
@@ -219,12 +271,18 @@ def level_table(j_max: SpinLabel, d: DeformationParameter, mode: Mode) -> list[E
                 )
             )
             continue
-        for tam in range(tj % 2, tj + 1, 2):
+        if tj + 2 >= len(b):
+            # b was cut short by `overflow` at [j+1]: this is the first row
+            # that needs a bracket past the overflow.
+            raise overflow
+        for tam, value in zip(range(tj % 2, tj + 1, 2), _denominators(tj, b)):
+            if not value > 0.0:
+                raise NonPositiveDenominatorError(tj, tam, d.q, value)
             levels.append(
                 EnergyLevel(
                     j=j,
                     twice_abs_m=tam,
-                    energy_ry=energy(j, tam, d),
+                    energy_ry=-2.0 / value,
                     multiplicity=1 if tam == 0 else 4,
                     principal_n=n,
                 )

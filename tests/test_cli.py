@@ -199,6 +199,22 @@ class TestScanCommand:
         assert code == 1
         assert "s-values" in err
 
+    @pytest.mark.parametrize(
+        "option, args",
+        [
+            ("--s-values", ("--s-values", "nan")),
+            ("--s-values", ("--s-values", "inf,0.1")),
+            ("--s-values", ("--s-values", "0.1,-inf")),
+            ("--s-min", ("--s-min", "nan")),
+            ("--s-max", ("--s-max", "inf")),
+        ],
+    )
+    def test_non_finite_s_is_validation_error(self, capsys, option, args):
+        code, out, err = run_cli(capsys, "scan", "--j", "1", *args)
+        assert code == 1
+        assert out == ""
+        assert f"{option} must be finite" in err
+
 
 class TestVerifyCommand:
     def test_passing_run(self, capsys):

@@ -11,8 +11,13 @@ from qhydrogen.lines import (
     splitting_scan,
     transition,
 )
-from qhydrogen.qnum import DeformationParameter, SpinLabel
-from qhydrogen.spectrum import UnitsConfig, energy, energy_undeformed
+from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel
+from qhydrogen.spectrum import (
+    NonPositiveDenominatorError,
+    UnitsConfig,
+    energy,
+    energy_undeformed,
+)
 
 
 class TestTransition:
@@ -184,3 +189,35 @@ class TestSplittingScan:
         for r in rows:
             assert r.energy_ry == energy(SpinLabel(4), r.twice_abs_m, d)
             assert r.deviation_ry == r.energy_ry - flat
+
+    @pytest.mark.parametrize("tj", [0, 1, 4, 9, 1030])
+    def test_rows_equal_scalar_evaluation(self, tj):
+        # s = 0, series-branch and sinh-ratio brackets, bracket overflow
+        # (300, 709), q = 2 (nan denominators at 2j >= 1022) and |s| > 709
+        s_values = [0.0, 1e-9, -1e-6, 5e-5, 0.37, -1.1, math.log(2.0), 300.0, 709.0, -750.0]
+        j = SpinLabel(tj)
+        flat = energy_undeformed(j)
+        expected = []
+        for s in s_values:
+            d = DeformationParameter.from_s(s) if abs(s) <= 709.0 else None
+            for tam in range(tj % 2, tj + 1, 2):
+                if d is None:
+                    expected.append((s, None, tam, None, None, "overflow"))
+                    continue
+                try:
+                    e = energy(j, tam, d)
+                except QNumberOverflowError:
+                    expected.append((s, d.q, tam, None, None, "overflow"))
+                except NonPositiveDenominatorError:
+                    expected.append((s, d.q, tam, None, None, "nonpositive_denominator"))
+                else:
+                    expected.append((s, d.q, tam, e, e - flat, ""))
+        rows = splitting_scan(j, s_values)
+        assert all(r.twice_j == tj for r in rows)
+        assert [
+            (r.s, r.q, r.twice_abs_m, r.energy_ry, r.deviation_ry, r.flag) for r in rows
+        ] == expected
+        flags = {r.flag for r in rows}
+        assert "overflow" in flags and "" in flags
+        if tj == 1030:
+            assert "nonpositive_denominator" in flags

@@ -234,6 +234,38 @@ class TestLevelTable:
         table = level_table(SpinLabel(3), DeformationParameter(1.2), "deformed")
         assert all(lv.principal_n == lv.j.twice_j + 1 for lv in table)
 
+    @pytest.mark.parametrize("q", [1.0, 1.0 + 1e-9, 0.6, 1.7, 10.0])
+    def test_rows_equal_scalar_energy(self, q):
+        d = DeformationParameter(q)
+        table = level_table(SpinLabel(40), d, "deformed")
+        keys = {(lv.j.twice_j, lv.twice_abs_m) for lv in table}
+        assert len(keys) == len(table)
+        assert keys == {(tj, tam) for tj in range(41) for tam in range(tj % 2, tj + 1, 2)}
+        for lv in table:
+            assert lv.energy_ry == energy(lv.j, lv.twice_abs_m, d)
+
+    @pytest.mark.parametrize(
+        "q, tj_max, error",
+        [
+            # 8[j][j+1] overflows to inf and D comes out nan
+            (2.0, 2100, NonPositiveDenominatorError),
+            (10.0, 700, NonPositiveDenominatorError),
+            (1e300, 8, QNumberOverflowError),
+            (1e150, 8, QNumberOverflowError),
+            (1e100, 8, QNumberOverflowError),
+            (1e-300, 8, QNumberOverflowError),
+        ],
+    )
+    def test_failure_matches_scalar_row_loop(self, q, tj_max, error):
+        d = DeformationParameter(q)
+        with pytest.raises(error) as table_error:
+            level_table(SpinLabel(tj_max), d, "deformed")
+        with pytest.raises(error) as row_error:
+            for tj in range(tj_max + 1):
+                for tam in range(tj % 2, tj + 1, 2):
+                    energy(SpinLabel(tj), tam, d)
+        assert str(table_error.value) == str(row_error.value)
+
 
 class TestDegeneracySummary:
     def test_examples(self):

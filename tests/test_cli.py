@@ -84,6 +84,17 @@ class TestGoldenFiles:
             ("scan_j5_series_overflow.csv",
              ("scan", "--j", "5", "--s-values", "0,1e-6,-1e-6,0.3,-0.3,709.5",
               "--format", "csv")),
+            # empty cells in a table
+            ("scan_j2_overflow.txt",
+             ("scan", "--j", "2", "--s-values", "0,800", "--format", "table")),
+            # no rows
+            ("lines_jmax0.json", ("lines", "--j-max", "0", "--format", "json")),
+            ("lines_jmax0.txt", ("lines", "--j-max", "0", "--format", "table")),
+            # -0.0 and 0.0 print differently
+            ("scan_j1_signed_zero.csv", ("scan", "--j", "1", "--s-values=-0.0,0")),
+            # bool cells next to fraction columns
+            ("verify_q1.1_jmax3.txt",
+             ("verify", "--q", "1.1", "--j-max", "3", "--format", "table")),
         ],
     )
     def test_emitter_bytes(self, capsys, golden, args):

@@ -14,7 +14,7 @@ import csv
 import io
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import click
 import numpy as np
@@ -77,44 +77,85 @@ def _json_value(value: Any) -> str:
     return _cell(value)
 
 
+# Rows are formatted a column at a time: one formatter is picked per
+# column from the set of value types in it, which skips the per-cell type
+# dispatch.  `_cell` (with `_json_value` and `_half`) stays the definition
+# of a cell's text; every column path below must produce exactly the
+# string it gives for each value, and any column they do not cover (bool,
+# int mixed with None, subclasses) goes through it cell by cell.  CSV and
+# JSON format _CHUNK_ROWS rows at a time so the transposed columns of a
+# long table never sit in memory at once.
+_CHUNK_ROWS = 2048
+
+_NONE = type(None)
+
+
+def _column(values: tuple, fmt: str, fraction: bool) -> Iterable[str]:
+    types = set(map(type, values))
+    if fraction:
+        if types <= {int, _NONE}:
+            text = {v: _half(v) for v in set(values) if v is not None}
+            text[None] = ""
+            return map(text.__getitem__, values)
+        return [_cell(v) if v is None else _half(v) for v in values]
+    if types == {float}:
+        return map("{:.15g}".format, values)
+    if types == {int}:
+        return map(str, values)
+    if types <= {float, _NONE}:
+        none = "null" if fmt == "json" else ""
+        return [none if v is None else f"{v:.15g}" for v in values]
+    if types == {str}:
+        if fmt != "json":
+            return values
+        text = {v: _json_value(v) for v in set(values)}
+        return map(text.__getitem__, values)
+    return map(_json_value if fmt == "json" else _cell, values)
+
+
+def _chunk_cells(fmt: str, rows: Sequence[tuple]) -> Iterator[Iterator[tuple[str, ...]]]:
+    """The cell texts of each run of _CHUNK_ROWS rows, row by row."""
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS]
+        yield zip(*[_column(col, fmt, False) for col in zip(*chunk)])
+
+
 def _emit_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([_cell(value) for value in row] for row in rows)
+    for cells in _chunk_cells("csv", rows):
+        writer.writerows(cells)
     return buffer.getvalue()
 
 
 def _emit_json(config: dict[str, Any], columns: Sequence[str], rows: Sequence[tuple]) -> str:
     config_body = ", ".join(f'"{k}": {_json_value(v)}' for k, v in config.items())
-    keys = [f'"{c}": ' for c in columns]
-    row_lines = []
-    for row in rows:
-        body = ", ".join([key + _json_value(value) for key, value in zip(keys, row)])
-        row_lines.append("    {" + body + "}")
-    rows_body = ",\n".join(row_lines)
-    return (
-        "{\n"
-        f'  "config": {{{config_body}}},\n'
-        '  "rows": [\n' + rows_body + "\n  ]\n"
-        "}\n"
-    )
+    head = "{\n" f'  "config": {{{config_body}}},\n' '  "rows": [\n'
+    tail = "\n  ]\n}\n"
+    if not rows:
+        return head + tail
+    row_line = "    {" + ", ".join(f'"{c}": %s' for c in columns) + "}"
+    lines: list[str] = []
+    for cells in _chunk_cells("json", rows):
+        lines.extend(map(row_line.__mod__, cells))
+    # Gluing head and tail onto the end lines lets one join build the
+    # document instead of copying the joined rows twice more.
+    lines[0] = head + lines[0]
+    lines[-1] += tail
+    return ",\n".join(lines)
 
 
 def _emit_table(columns: Sequence[str], rows: Sequence[tuple]) -> str:
     names = [_FRACTION_COLUMNS.get(c, c) for c in columns]
-    fraction = [c in _FRACTION_COLUMNS for c in columns]
-    rendered = [
-        [_half(value) if frac and value is not None else _cell(value)
-         for value, frac in zip(row, fraction)]
-        for row in rows
-    ]
-    widths = [max(len(n), *(len(r[i]) for r in rendered)) if rendered else len(n)
-              for i, n in enumerate(names)]
+    cols = zip(*rows) if rows else [()] * len(columns)
+    rendered = [list(_column(col, "table", c in _FRACTION_COLUMNS))
+                for c, col in zip(columns, cols)]
+    widths = [max(len(n), max(map(len, col), default=0)) for n, col in zip(names, rendered)]
     out = ["  ".join(n.ljust(w) for n, w in zip(names, widths)).rstrip()]
     out.append("  ".join("-" * w for w in widths))
-    for cells in rendered:
-        out.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip())
+    row_line = "  ".join(f"%-{w}s" for w in widths)
+    out.extend((row_line % cells).rstrip() for cells in zip(*rendered))
     return "\n".join(out) + "\n"
 
 

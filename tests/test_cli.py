@@ -7,8 +7,9 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qhydrogen.cli import main
+from qhydrogen.cli import _CHUNK_ROWS, _FRACTION_COLUMNS, _half, _render, main
 from qhydrogen.qnum import DeformationParameter, SpinLabel
 from qhydrogen.spectrum import energy, level_table
 
@@ -342,3 +343,144 @@ class TestLinesCommand:
         code, out, _ = run_cli(capsys, "lines", "--q", "2", "--j-max", "0")
         assert code == 0
         assert out.splitlines()[1:] == []
+
+
+# Per-cell emitters as they were before rows were formatted by column;
+# the column formatters must reproduce them byte for byte.
+def _oracle_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.15g}"
+    return str(value)
+
+
+def _oracle_json_value(value):
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return _oracle_cell(value)
+
+
+def _oracle_csv(columns, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_oracle_cell(value) for value in row] for row in rows)
+    return buffer.getvalue()
+
+
+def _oracle_json(config, columns, rows):
+    config_body = ", ".join(f'"{k}": {_oracle_json_value(v)}' for k, v in config.items())
+    keys = [f'"{c}": ' for c in columns]
+    row_lines = []
+    for row in rows:
+        body = ", ".join([key + _oracle_json_value(value) for key, value in zip(keys, row)])
+        row_lines.append("    {" + body + "}")
+    rows_body = ",\n".join(row_lines)
+    return (
+        "{\n"
+        f'  "config": {{{config_body}}},\n'
+        '  "rows": [\n' + rows_body + "\n  ]\n"
+        "}\n"
+    )
+
+
+def _oracle_table(columns, rows):
+    names = [_FRACTION_COLUMNS.get(c, c) for c in columns]
+    fraction = [c in _FRACTION_COLUMNS for c in columns]
+    rendered = [
+        [_half(value) if frac and value is not None else _oracle_cell(value)
+         for value, frac in zip(row, fraction)]
+        for row in rows
+    ]
+    widths = [max(len(n), *(len(r[i]) for r in rendered)) if rendered else len(n)
+              for i, n in enumerate(names)]
+    out = ["  ".join(n.ljust(w) for n, w in zip(names, widths)).rstrip()]
+    out.append("  ".join("-" * w for w in widths))
+    for cells in rendered:
+        out.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip())
+    return "\n".join(out) + "\n"
+
+
+_ORACLE = {
+    "csv": lambda config, columns, rows: _oracle_csv(columns, rows),
+    "json": _oracle_json,
+    "table": lambda config, columns, rows: _oracle_table(columns, rows),
+}
+
+# Equal values with different texts (0.0 and -0.0, 1 and True) must not
+# share a formatted string, so both kinds of value are drawn often.
+_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+                     1e16, -1e16]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+_ints = st.one_of(st.integers(-3, 3), st.integers(-(10 ** 20), 10 ** 20))
+_strs = st.text(st.one_of(st.sampled_from(list(',"\\\n\r %{}')), st.characters()), max_size=8)
+_nones = st.none()
+_bools = st.booleans()
+_cell_values = {
+    "int": _ints,
+    "float": _floats,
+    "str": _strs,
+    "bool": _bools,
+    "none": _nones,
+    "float_none": st.one_of(_floats, _nones),
+    "int_none": st.one_of(_ints, _nones),
+    "any": st.one_of(_ints, _floats, _strs, _bools, _nones),
+}
+# Fraction columns hold twice-integers, possibly with None; the other
+# types check that a fraction column the fast path cannot take still
+# renders _half per cell.
+_fraction_values = {
+    "int": _ints,
+    "int_none": st.one_of(_ints, _nones),
+    "none": _nones,
+    "any": st.one_of(_ints, _floats, _bools, _nones),
+}
+
+
+@st.composite
+def _column_specs(draw):
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(_FRACTION_COLUMNS)))
+        values = _fraction_values[draw(st.sampled_from(sorted(_fraction_values)))]
+    else:
+        name = draw(st.sampled_from(["energy", "unit", "flag", "relation", "passed", "x"]))
+        values = _cell_values[draw(st.sampled_from(sorted(_cell_values)))]
+    return name, draw(st.lists(values, min_size=1, max_size=6))
+
+
+class TestColumnFormatters:
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    @settings(max_examples=20, deadline=None)
+    @given(specs=st.lists(_column_specs(), min_size=1, max_size=6))
+    @example(
+        specs=[("energy", [0.0, -0.0, 1.5]), ("q", [None, -0.0, 0.0]),
+               ("twice_abs_m", [1, True, None, 0, False]), ("twice_j", [3, None]),
+               ("relation", ["a,b", 'x"y\\', ""]), ("passed", [True, False])],
+    )
+    def test_render_matches_per_cell_emitters(self, n_rows, specs):
+        columns = [name for name, _ in specs]
+        rows = [tuple(pool[(i * (k + 1)) % len(pool)] for k, (_, pool) in enumerate(specs))
+                for i in range(n_rows)]
+        config = {"command": "x", "q": -0.0, "s": None, "mode": 'a"b', "flag": True}
+        for fmt, oracle in _ORACLE.items():
+            # Compared line by line: a failure then names the first differing
+            # line instead of diffing two documents of thousands of rows.
+            got = _render(fmt, config, columns, rows).splitlines(keepends=True)
+            assert got == oracle(config, columns, rows).splitlines(keepends=True)
+
+    def test_output_file_matches_stdout_past_one_chunk(self, capsys, tmp_path):
+        args = ("scan", "--j", "40", "--s-min", "-2", "--s-max", "30", "--s-count", "100",
+                "--format", "json")
+        target = tmp_path / "scan.json"
+        assert run_cli(capsys, *args, "--output", str(target))[0] == 0
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 21 * 100 > _CHUNK_ROWS
+        assert target.read_bytes() == out.encode("utf-8")

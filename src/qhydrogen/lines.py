@@ -24,9 +24,6 @@ from .spectrum import (
 
 LevelKey = tuple[SpinLabel, int]
 
-# |ln q| beyond which e^s itself leaves double precision.
-_MAX_ABS_S = 709.0
-
 __all__ = [
     "DegenerateTransitionError",
     "LevelKey",
@@ -165,8 +162,9 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
     combines them in the operation order of
     :func:`~qhydrogen.spectrum.denominator`, so every clean row equals
     ``energy(j, twice_abs_m, q)`` bit for bit.  Every row of an s whose
-    [j+1] overflows is flagged "overflow"; a row whose denominator is
-    not positive is flagged "nonpositive_denominator".
+    q = e^s leaves the floating range (q is then None) or whose brackets
+    overflow is flagged "overflow"; a row whose denominator is not
+    positive is flagged "nonpositive_denominator".
     """
     tj = j.twice_j
     twice_abs_ms = range(tj % 2, tj + 1, 2)
@@ -176,10 +174,12 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
         s = float(s)
         if not math.isfinite(s):
             raise ValueError(f"s values must be finite, got {s!r}")
-        if abs(s) > _MAX_ABS_S:
+        try:
+            d = DeformationParameter.from_s(s)
+        except ValueError:
+            # q = e^s itself leaves the floating range
             rows.extend(ScanRow(s, None, tj, tam, None, None, "overflow") for tam in twice_abs_ms)
             continue
-        d = DeformationParameter.from_s(s)
         b, overflow = _brackets(tj + 2, d)
         if overflow is not None:
             rows.extend(ScanRow(s, d.q, tj, tam, None, None, "overflow") for tam in twice_abs_ms)

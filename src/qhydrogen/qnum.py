@@ -152,7 +152,11 @@ def _sinh_ratio_eval(x: float, s: float) -> float:
         raise QNumberOverflowError(
             f"sinh(s*x) overflows double precision at x={x!r}, s={s!r}"
         ) from None
-    value = numerator / math.sinh(s)
+    try:
+        denominator = math.sinh(s)
+    except OverflowError:
+        raise QNumberOverflowError(f"sinh(s) overflows double precision at s={s!r}") from None
+    value = numerator / denominator
     if math.isinf(value):
         raise QNumberOverflowError(f"[x] overflows double precision at x={x!r}, s={s!r}")
     return value

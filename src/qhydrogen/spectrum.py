@@ -21,6 +21,7 @@ ranges can be computed in parallel and concatenated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Literal
 
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
@@ -287,7 +288,9 @@ def level_table(j_max: SpinLabel, d: DeformationParameter, mode: Mode) -> list[E
                     principal_n=n,
                 )
             )
-    levels.sort(key=lambda lv: (lv.energy_ry, lv.j.twice_j, lv.twice_abs_m))
+    # Rows were appended in ascending (j, |m|), so a stable sort on the
+    # energy alone breaks ties in that order.
+    levels.sort(key=attrgetter("energy_ry"))
     return levels
 
 

@@ -298,6 +298,14 @@ class TestExitCodes:
         assert code == 2
         assert "overflow" in err.lower()
 
+    @pytest.mark.parametrize("deformation", [("--s", "-720"), ("--q", "1e-310")])
+    def test_sinh_s_overflow_is_2(self, capsys, deformation):
+        # q = e^s is a subnormal double, but sinh(s) is not representable
+        code, out, err = run_cli(capsys, "levels", *deformation, "--j-max", "0")
+        assert code == 2
+        assert out == ""
+        assert "sinh(s) overflows" in err
+
     def test_lines_j_max_below_lower_is_validation(self, capsys):
         code, _, _ = run_cli(capsys, "lines", "--lower-j", "4", "--j-max", "2")
         assert code == 1

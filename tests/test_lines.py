@@ -178,6 +178,12 @@ class TestSplittingScan:
         huge = [r for r in rows if r.s == 800.0]
         assert all(r.flag == "overflow" and r.q is None for r in huge)
 
+    def test_representable_edge_is_clean(self):
+        # e^709.5 is finite and 2j = 0 needs only [0], [1/2] and [1]
+        [row] = splitting_scan(SpinLabel(0), [709.5])
+        assert (row.q, row.energy_ry, row.deviation_ry, row.flag) == (
+            math.exp(709.5), -1.0, 0.0, "")
+
     def test_non_finite_s_rejected(self):
         with pytest.raises(ValueError):
             splitting_scan(SpinLabel(2), [math.nan])
@@ -185,16 +191,21 @@ class TestSplittingScan:
     def test_deviation_equals_energy_difference(self):
         # Every row matches a scalar energy() evaluation bit for bit, flags
         # included: s = 0, series-branch and sinh-ratio brackets, bracket
-        # overflow (300, 709), q = 2 (nan denominators at 2j >= 1022) and
-        # |s| > 709.
-        s_values = [0.0, 1e-9, -1e-6, 5e-5, 0.37, -1.1, math.log(2.0), 300.0, 709.0, -750.0]
+        # overflow (300, 709, 709.5, and -720 where sinh(s) overflows but q is
+        # representable), q = 2 (nan denominators at 2j >= 1022) and q = e^s
+        # out of range (-750).
+        s_values = [0.0, 1e-9, -1e-6, 5e-5, 0.37, -1.1, math.log(2.0), 300.0, 709.0, 709.5,
+                    -720.0, -750.0]
         flags = set()
         for tj in (0, 1, 4, 9, 1030):
             j = SpinLabel(tj)
             flat = energy_undeformed(j)
             expected = []
             for s in s_values:
-                d = DeformationParameter.from_s(s) if abs(s) <= 709.0 else None
+                try:
+                    d = DeformationParameter.from_s(s)
+                except ValueError:
+                    d = None
                 for tam in range(tj % 2, tj + 1, 2):
                     row = (s, None if d is None else d.q, tj, tam, None, None, "overflow")
                     if d is not None:

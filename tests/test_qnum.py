@@ -206,6 +206,10 @@ class TestQNumberErrors:
         # ratio overflow: sinh(s x) finite but dividing by tiny sinh(s) explodes
         with pytest.raises(QNumberOverflowError):
             qnumber(7.095e6, DeformationParameter.from_s(1e-4))
+        # sinh(s) itself overflows while q = e^s is a subnormal double
+        for d in (DeformationParameter.from_s(-720.0), DeformationParameter(1e-310)):
+            with pytest.raises(QNumberOverflowError):
+                qnumber(0.5, d)
 
     def test_large_argument_below_overflow_is_finite(self):
         value = qnumber(300.0, DeformationParameter(2.0))

@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import sys
+from types import NoneType
 from typing import Any, Iterable, Iterator, Sequence
 
 import click
@@ -87,13 +88,11 @@ def _json_value(value: Any) -> str:
 # long table never sit in memory at once.
 _CHUNK_ROWS = 2048
 
-_NONE = type(None)
-
 
 def _column(values: tuple, fmt: str, fraction: bool) -> Iterable[str]:
     types = set(map(type, values))
     if fraction:
-        if types <= {int, _NONE}:
+        if types <= {int, NoneType}:
             text = {v: _half(v) for v in set(values) if v is not None}
             text[None] = ""
             return map(text.__getitem__, values)
@@ -102,7 +101,7 @@ def _column(values: tuple, fmt: str, fraction: bool) -> Iterable[str]:
         return map("{:.15g}".format, values)
     if types == {int}:
         return map(str, values)
-    if types <= {float, _NONE}:
+    if types <= {float, NoneType}:
         none = "null" if fmt == "json" else ""
         return [none if v is None else f"{v:.15g}" for v in values]
     if types == {str}:

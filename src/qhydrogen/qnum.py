@@ -147,15 +147,23 @@ def _series_eval(x: float, s: float) -> float:
 
 def _sinh_ratio_eval(x: float, s: float) -> float:
     try:
+        denominator = math.sinh(s)
+    except OverflowError:
+        # |s| > 710.48, where e^(-2|s|) is below double rounding against 1:
+        # [x] = e^(|s|(x-1)) (1 - e^(-2|s|x)) for x >= 0, even in s.
+        a = abs(s)
+        try:
+            return math.exp(a * (x - 1.0)) * -math.expm1(-2.0 * a * x)
+        except OverflowError:
+            raise QNumberOverflowError(
+                f"[x] overflows double precision at x={x!r}, s={s!r}"
+            ) from None
+    try:
         numerator = math.sinh(s * x)
     except OverflowError:
         raise QNumberOverflowError(
             f"sinh(s*x) overflows double precision at x={x!r}, s={s!r}"
         ) from None
-    try:
-        denominator = math.sinh(s)
-    except OverflowError:
-        raise QNumberOverflowError(f"sinh(s) overflows double precision at s={s!r}") from None
     value = numerator / denominator
     if math.isinf(value):
         raise QNumberOverflowError(f"[x] overflows double precision at x={x!r}, s={s!r}")

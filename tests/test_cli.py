@@ -300,11 +300,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("deformation", [("--s", "-720"), ("--q", "1e-310")])
     def test_sinh_s_overflow_is_2(self, capsys, deformation):
-        # q = e^s is a subnormal double, but sinh(s) is not representable
+        # q = e^s is a subnormal double and sinh(s) is not representable, but
+        # [0], [1/2] and [1] are; [2] ~ e^|s| is not
         code, out, err = run_cli(capsys, "levels", *deformation, "--j-max", "0")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "0,0,1,-1,rydberg,1"
+        code, out, err = run_cli(capsys, "levels", *deformation, "--j-max", "2")
         assert code == 2
         assert out == ""
-        assert "sinh(s) overflows" in err
+        assert "[x] overflows double precision at x=2.0" in err
 
     def test_lines_j_max_below_lower_is_validation(self, capsys):
         code, _, _ = run_cli(capsys, "lines", "--lower-j", "4", "--j-max", "2")

@@ -206,10 +206,23 @@ class TestQNumberErrors:
         # ratio overflow: sinh(s x) finite but dividing by tiny sinh(s) explodes
         with pytest.raises(QNumberOverflowError):
             qnumber(7.095e6, DeformationParameter.from_s(1e-4))
-        # sinh(s) itself overflows while q = e^s is a subnormal double
+        # sinh(s) itself overflows while q = e^s is a subnormal double, and
+        # [2] ~ e^|s| is past the double range
         for d in (DeformationParameter.from_s(-720.0), DeformationParameter(1e-310)):
             with pytest.raises(QNumberOverflowError):
-                qnumber(0.5, d)
+                qnumber(2.0, d)
+
+    @pytest.mark.parametrize("s", [-720.0, -713.8, 715.0])
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 1.5])
+    def test_brackets_representable_where_sinh_s_overflows(self, s, x):
+        with mpmath.workdps(40):
+            sm = mpmath.mpf(s)
+            want = float(mpmath.sinh(sm * x) / mpmath.sinh(sm))
+        got = _sinh_ratio_eval(x, s)
+        assert abs(got - want) <= 1e-15 * abs(want)
+        # q = e^715 is not a double; the other two go through qnumber
+        if abs(s) < 715.0:
+            assert qnumber(x, DeformationParameter.from_s(s)) == got
 
     def test_large_argument_below_overflow_is_finite(self):
         value = qnumber(300.0, DeformationParameter(2.0))

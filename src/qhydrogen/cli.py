@@ -13,9 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
+import re
 import sys
 from types import NoneType
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 import click
 import numpy as np
@@ -78,15 +80,35 @@ def _json_value(value: Any) -> str:
     return _cell(value)
 
 
-# Rows are formatted a column at a time: one formatter is picked per
-# column from the set of value types in it, which skips the per-cell type
-# dispatch.  `_cell` (with `_json_value` and `_half`) stays the definition
-# of a cell's text; every column path below must produce exactly the
-# string it gives for each value, and any column they do not cover (bool,
-# int mixed with None, subclasses) goes through it cell by cell.  CSV and
-# JSON format _CHUNK_ROWS rows at a time so the transposed columns of a
-# long table never sit in memory at once.
+# Rows are formatted a column at a time, which skips the per-cell type
+# dispatch: the table picks one formatter per column from the set of value
+# types in it (`_column`), and CSV and JSON turn each run of _CHUNK_ROWS
+# rows into text with one `%` row template whose slot for a column of
+# plain floats, ints or strings takes the values as they are (`_slot`).
+# `_cell` (with `_json_value` and `_half`) stays the definition of a cell's
+# text; every column path below must produce exactly the string it gives
+# for each value, and any column they do not cover (bool, int mixed with
+# None, subclasses) goes through it cell by cell.  Chunks keep the
+# transposed columns of a long table from sitting in memory at once.
 _CHUNK_ROWS = 2048
+
+# Characters that can make csv.writer quote a field, and those the JSON
+# string escape rewrites; a string without them is its own cell text.
+_SPECIAL = {
+    "csv": re.compile('[,"\r\n]').search,
+    "json": re.compile(r'["\\]').search,
+}
+
+
+def _csv_field(text: str) -> str:
+    """The text csv.writer gives ``text`` as one field of a longer record."""
+    if not _SPECIAL["csv"](text):
+        return text
+    # csv.writer has the last word: with "\n" line ends, Python 3.11
+    # leaves a lone "\r" unquoted.
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[:-2]
 
 
 def _column(values: tuple, fmt: str, fraction: bool) -> Iterable[str]:
@@ -105,27 +127,75 @@ def _column(values: tuple, fmt: str, fraction: bool) -> Iterable[str]:
         none = "null" if fmt == "json" else ""
         return [none if v is None else f"{v:.15g}" for v in values]
     if types == {str}:
-        if fmt != "json":
+        if fmt == "table":
             return values
-        text = {v: _json_value(v) for v in set(values)}
+        quote = _json_value if fmt == "json" else _csv_field
+        text = {v: quote(v) for v in set(values)}
         return map(text.__getitem__, values)
-    return map(_json_value if fmt == "json" else _cell, values)
+    if fmt == "json":
+        return map(_json_value, values)
+    cells = map(_cell, values)
+    return map(_csv_field, cells) if fmt == "csv" else cells
 
 
-def _chunk_cells(fmt: str, rows: Sequence[tuple]) -> Iterator[Iterator[tuple[str, ...]]]:
-    """The cell texts of each run of _CHUNK_ROWS rows, row by row."""
+def _floats_once(values: tuple, fmt: str) -> Iterable[str]:
+    """Texts of a float/None column that formats each distinct object once.
+
+    Keyed by identity, not value, so -0.0 next to 0.0 and each nan keep
+    their own text.
+    """
+    ids = list(map(id, values))
+    none = "null" if fmt == "json" else ""
+    text = {i: none if v is None else f"{v:.15g}" for i, v in dict(zip(ids, values)).items()}
+    return map(text.__getitem__, ids)
+
+
+def _slot(values: tuple, fmt: str) -> tuple[str, Iterable]:
+    """One column's slot in a CSV or JSON row template, and what fills it.
+
+    Numbers and strings that need no quoting fill their slot as they are;
+    any other column is filled with its cell texts.
+    """
+    types = set(map(type, values))
+    if types == {int}:
+        return "%d", values
+    if types <= {float, NoneType}:
+        head = values[:64]
+        if 2 * len(set(map(id, head))) <= len(head):
+            # The rows share float objects (a scan's s and q repeat on
+            # every |m| row), so formatting each object once is cheaper.
+            return "%s", _floats_once(values, fmt)
+        if types == {float}:
+            return "%.15g", values
+    elif types == {str} and not any(map(_SPECIAL[fmt], set(values))):
+        return ('"%s"' if fmt == "json" else "%s"), values
+    return "%s", _column(values, fmt, False)
+
+
+def _row_lines(fmt: str, keys: Sequence[str], end: str, rows: Sequence[tuple]) -> list[str]:
+    """Each row's text: key, slot, key, slot, ..., end, one % template per chunk.
+
+    The keys are literal template text, so they must have any % doubled.
+    """
+    lines: list[str] = []
     for start in range(0, len(rows), _CHUNK_ROWS):
         chunk = rows[start:start + _CHUNK_ROWS]
-        yield zip(*[_column(col, fmt, False) for col in zip(*chunk)])
+        cols = list(zip(*chunk))
+        slots, fills = zip(*[_slot(col, fmt) for col in cols])
+        template = "".join(map(str.__add__, keys, slots)) + end
+        if any(map(operator.is_not, fills, cols)):
+            chunk = zip(*fills)
+        lines.extend(map(template.__mod__, chunk))
+    return lines
 
 
 def _emit_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for cells in _chunk_cells("csv", rows):
-        writer.writerows(cells)
-    return buffer.getvalue()
+    lines = _row_lines("csv", [""] + [","] * (len(columns) - 1), "\n", rows)
+    lines.insert(0, ",".join(map(_csv_field, columns)) + "\n")
+    if len(columns) == 1:
+        # csv.writer writes a record whose one field is empty as "".
+        lines = ['""\n' if line == "\n" else line for line in lines]
+    return "".join(lines)
 
 
 def _emit_json(config: dict[str, Any], columns: Sequence[str], rows: Sequence[tuple]) -> str:
@@ -134,10 +204,9 @@ def _emit_json(config: dict[str, Any], columns: Sequence[str], rows: Sequence[tu
     tail = "\n  ]\n}\n"
     if not rows:
         return head + tail
-    row_line = "    {" + ", ".join(f'"{c}": %s' for c in columns) + "}"
-    lines: list[str] = []
-    for cells in _chunk_cells("json", rows):
-        lines.extend(map(row_line.__mod__, cells))
+    keys = [f'"{c}": '.replace("%", "%%") for c in columns]
+    keys = ["    {" + keys[0]] + [", " + key for key in keys[1:]]
+    lines = _row_lines("json", keys, "}", rows)
     # Gluing head and tail onto the end lines lets one join build the
     # document instead of copying the joined rows twice more.
     lines[0] = head + lines[0]
@@ -323,12 +392,9 @@ def scan(twice_j, s_values_text, s_min, s_max, s_count, fmt, output) -> None:
             if not math.isfinite(value):
                 raise click.UsageError(f"{name} must be finite, got {value!r}")
         s_values = [float(v) for v in np.linspace(s_min, s_max, s_count)]
-    rows_data = splitting_scan(SpinLabel(twice_j), s_values)
+    # The ScanRow fields are these columns in order, so rows render as they come.
+    rows = splitting_scan(SpinLabel(twice_j), s_values)
     columns = ["s", "q", "twice_j", "twice_abs_m", "energy_ry", "deviation_ry", "flag"]
-    rows = [
-        (r.s, r.q, r.twice_j, r.twice_abs_m, r.energy_ry, r.deviation_ry, r.flag)
-        for r in rows_data
-    ]
     config = {"command": "scan", "twice_j": twice_j, "s_count": len(s_values)}
     _write(_render(fmt, config, columns, rows), output)
 

@@ -10,7 +10,7 @@ wavelengths the identity wavelength_nm * wavenumber_per_cm = 1e7.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .qnum import DeformationParameter, SpinLabel
 from .spectrum import (
@@ -47,9 +47,8 @@ class DegenerateTransitionError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class TransitionLine:
-    """One spectral line between two (j, |m|) levels.
+class TransitionLine(NamedTuple):
+    """One spectral line between two (j, |m|) levels, an immutable named tuple.
 
     ``delta_energy`` is in the output unit of the UnitsConfig used to
     build the line; ``wavenumber_per_cm`` and ``wavelength_nm`` are
@@ -63,9 +62,11 @@ class TransitionLine:
     wavelength_nm: float
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One (s, |m|) point of a splitting scan, energies in Rydberg.
+class ScanRow(NamedTuple):
+    """One (s, |m|) point of a splitting scan, an immutable named tuple.
+
+    Energies are in Rydberg, and the fields are the columns of the CLI
+    ``scan`` document in order.
 
     ``flag`` is empty for a clean evaluation; otherwise it names the
     failure ("overflow" or "nonpositive_denominator") and the float
@@ -86,13 +87,7 @@ def _line(
 ) -> TransitionLine:
     delta_ry = e_upper - e_lower
     wavenumber = delta_ry * units.rydberg_per_cm
-    return TransitionLine(
-        upper=upper,
-        lower=lower,
-        delta_energy=units.convert(delta_ry),
-        wavenumber_per_cm=wavenumber,
-        wavelength_nm=1e7 / wavenumber,
-    )
+    return TransitionLine(upper, lower, units.convert(delta_ry), wavenumber, 1e7 / wavenumber)
 
 
 def transition(

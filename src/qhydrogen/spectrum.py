@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
 
@@ -84,9 +84,8 @@ class QuantumState:
                 )
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
-    """One row of a level table.
+class EnergyLevel(NamedTuple):
+    """One row of a level table, an immutable named tuple.
 
     Deformed mode: one level per (j, |m|), multiplicity 4 for |m| != 0
     (the sign choices of m and p) and 1 for m = 0.  Undeformed mode:
@@ -262,15 +261,7 @@ def level_table(j_max: SpinLabel, d: DeformationParameter, mode: Mode) -> list[E
         j = SpinLabel(tj)
         n = tj + 1
         if mode == "undeformed":
-            levels.append(
-                EnergyLevel(
-                    j=j,
-                    twice_abs_m=0,
-                    energy_ry=energy_undeformed(j),
-                    multiplicity=n * n,
-                    principal_n=n,
-                )
-            )
+            levels.append(EnergyLevel(j, 0, energy_undeformed(j), n * n, n))
             continue
         if tj + 2 >= len(b):
             # b was cut short by `overflow` at [j+1]: this is the first row
@@ -279,15 +270,7 @@ def level_table(j_max: SpinLabel, d: DeformationParameter, mode: Mode) -> list[E
         for tam, value in zip(range(tj % 2, tj + 1, 2), _denominators(tj, b)):
             if not value > 0.0:
                 raise NonPositiveDenominatorError(tj, tam, d.q, value)
-            levels.append(
-                EnergyLevel(
-                    j=j,
-                    twice_abs_m=tam,
-                    energy_ry=-2.0 / value,
-                    multiplicity=1 if tam == 0 else 4,
-                    principal_n=n,
-                )
-            )
+            levels.append(EnergyLevel(j, tam, -2.0 / value, 1 if tam == 0 else 4, n))
     # Rows were appended in ascending (j, |m|), so a stable sort on the
     # energy alone breaks ties in that order.
     levels.sort(key=attrgetter("energy_ry"))

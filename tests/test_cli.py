@@ -476,6 +476,16 @@ class TestColumnFormatters:
                ("twice_abs_m", [1, True, None, 0, False]), ("twice_j", [3, None]),
                ("relation", ["a,b", 'x"y\\', ""]), ("passed", [True, False])],
     )
+    # Every row repeats the same few objects, so float columns take the
+    # per-object path: one -0.0 and one nan object next to a distinct 0.0.
+    @example(
+        specs=[("s", [float("-0.0"), float("nan"), float("0.0")]),
+               ("q", [float("nan"), None, float("-0.0"), float("0.0")]),
+               ("relation", ["plain", "a,b", 'say "x"', "back\\slash", "line\nbreak", "cr\r",
+                             "50%", "%d%%s"]),
+               ("n", [2 ** 64, -(2 ** 70), 10 ** 30, 0]),
+               ("x%d", [1.5, -2.5e-310])],
+    )
     def test_render_matches_per_cell_emitters(self, n_rows, specs):
         columns = [name for name, _ in specs]
         rows = [tuple(pool[(i * (k + 1)) % len(pool)] for k, (_, pool) in enumerate(specs))

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from qhydrogen.cli import main
 from qhydrogen.lines import (
     DegenerateTransitionError,
+    ScanRow,
+    TransitionLine,
     series_table,
     splitting_scan,
     transition,
@@ -18,6 +21,30 @@ from qhydrogen.spectrum import (
     energy,
     energy_undeformed,
 )
+
+
+class TestRowTypes:
+    def test_transition_line_fields_are_fixed(self):
+        assert TransitionLine._fields == (
+            "upper", "lower", "delta_energy", "wavenumber_per_cm", "wavelength_nm")
+
+    def test_scan_row_fields_are_the_scan_columns(self, capsys):
+        # `scan` renders ScanRows as they come, so the fields are its columns
+        assert main(["scan", "--j", "0", "--s-values", "0"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert ScanRow._fields == tuple(header.split(","))
+
+    def test_immutable_with_pinned_repr(self):
+        line = transition((SpinLabel(1), 1), (SpinLabel(0), 0), DeformationParameter(1.0))
+        [row] = splitting_scan(SpinLabel(0), [800.0])
+        for value, field in ((line, "delta_energy"), (row, "flag")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+        assert repr(line) == (
+            "TransitionLine(upper=(SpinLabel(twice_j=1), 1), lower=(SpinLabel(twice_j=0), 0), "
+            "delta_energy=0.75, wavenumber_per_cm=82302.98676, wavelength_nm=121.50227341275652)")
+        assert repr(row) == ("ScanRow(s=800.0, q=None, twice_j=0, twice_abs_m=0, "
+                             "energy_ry=None, deviation_ry=None, flag='overflow')")
 
 
 class TestTransition:

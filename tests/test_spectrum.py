@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qhydrogen.irreps import build_irrep, casimir_symmetrized
 from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel
 from qhydrogen.spectrum import (
+    EnergyLevel,
     NonPositiveDenominatorError,
     UnitsConfig,
     degeneracy_summary,
@@ -265,6 +266,19 @@ class TestLevelTable:
                 for tam in range(tj % 2, tj + 1, 2):
                     energy(SpinLabel(tj), tam, d)
         assert str(table_error.value) == str(row_error.value)
+
+
+class TestEnergyLevelRow:
+    def test_fields_are_fixed(self):
+        assert EnergyLevel._fields == (
+            "j", "twice_abs_m", "energy_ry", "multiplicity", "principal_n")
+
+    def test_immutable_with_pinned_repr(self):
+        [lv] = level_table(SpinLabel(0), DeformationParameter(1.7), "deformed")
+        with pytest.raises(AttributeError):
+            lv.energy_ry = 0.0
+        assert repr(lv) == ("EnergyLevel(j=SpinLabel(twice_j=0), twice_abs_m=0, "
+                            "energy_ry=-1.0, multiplicity=1, principal_n=1)")
 
 
 class TestDegeneracySummary:

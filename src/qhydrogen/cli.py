@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 import re
 import sys
 from types import NoneType
@@ -182,8 +181,8 @@ def _row_lines(fmt: str, keys: Sequence[str], end: str, rows: Sequence[tuple]) -
         chunk = rows[start:start + _CHUNK_ROWS]
         cols = list(zip(*chunk))
         slots, fills = zip(*[_slot(col, fmt) for col in cols])
-        template = "".join(map(str.__add__, keys, slots)) + end
-        if any(map(operator.is_not, fills, cols)):
+        template = "".join(key + slot for key, slot in zip(keys, slots)) + end
+        if any(fill is not col for fill, col in zip(fills, cols)):
             chunk = zip(*fills)
         lines.extend(map(template.__mod__, chunk))
     return lines

@@ -96,6 +96,9 @@ class TestGoldenFiles:
             # bool cells next to fraction columns
             ("verify_q1.1_jmax3.txt",
              ("verify", "--q", "1.1", "--j-max", "3", "--format", "table")),
+            # rounding residue of every relation up to 2j = 40, digit for digit
+            ("verify_q1.3_jmax40.json",
+             ("verify", "--q", "1.3", "--j-max", "40", "--format", "json")),
         ],
     )
     def test_emitter_bytes(self, capsys, golden, args):

@@ -18,21 +18,27 @@ docs/derivations.md.)  Verification helpers check these relations and
 the two quadratic invariants numerically, and the q = 1 tensor-product
 recombination into the rotation/Runge-Lenz pattern.
 
-Matrices are dense complex and marked read-only, so built values can be
-shared freely across threads.
+An irrep stores only the I+ weights sqrt([j+m+1][j-m]): Iz is diagonal
+and I+- each have one off-diagonal, so every relation checked here has
+nonzeros on three diagonals at most, and the checks run on those
+diagonals in O(2j + 1).  The dense complex matrices are built on first
+read for the dense helpers.  Weights and matrices are marked read-only,
+so built values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .qnum import DeformationParameter, SpinLabel, qnumber
+from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
 
 ComplexMatrix = NDArray[np.complex128]
+FloatVector = NDArray[np.float64]
 
 __all__ = [
     "ComplexMatrix",
@@ -49,17 +55,38 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class IrrepMatrices:
-    """Generator matrices on one spin-j module, basis ordered by descending m."""
+    """Generators on one spin-j module, basis ordered by descending m.
+
+    ``ladder`` holds the I+ weights u_k = sqrt([j+m+1][j-m]), k = 1..2j,
+    where column k carries |m> and row k-1 carries |m+1>; it is all that
+    the module stores.  The dense matrices ``iz``, ``iplus`` and
+    ``iminus`` are built from it the first time they are read.
+    """
 
     j: SpinLabel
     d: DeformationParameter
-    iz: ComplexMatrix
-    iplus: ComplexMatrix
-    iminus: ComplexMatrix
+    ladder: FloatVector
 
     @property
     def dim(self) -> int:
         return self.j.twice_j + 1
+
+    @cached_property
+    def iz(self) -> ComplexMatrix:
+        iz = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        np.fill_diagonal(iz, _weights(self.j))
+        return _read_only(iz)
+
+    @cached_property
+    def iplus(self) -> ComplexMatrix:
+        k = np.arange(1, self.dim)
+        iplus = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        iplus[k - 1, k] = self.ladder
+        return _read_only(iplus)
+
+    @cached_property
+    def iminus(self) -> ComplexMatrix:
+        return _read_only(self.iplus.conj().T.copy())
 
 
 @dataclass(frozen=True)
@@ -79,63 +106,107 @@ class VerificationReport:
     passed: bool
 
 
-def _max_abs(a: ComplexMatrix) -> float:
+def _max_abs(a: NDArray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def _report(name: str, lhs: ComplexMatrix, rhs: ComplexMatrix, tol: float) -> VerificationReport:
+def _report(name: str, lhs: NDArray, rhs: NDArray, tol: float) -> VerificationReport:
     scale = max(1.0, _max_abs(lhs), _max_abs(rhs))
     deviation = _max_abs(lhs - rhs) / scale
     return VerificationReport(name, deviation, float(tol), deviation <= float(tol))
+
+
+def _band_report(
+    r: IrrepMatrices, name: str, lhs: FloatVector, rhs: FloatVector, tol: float
+) -> VerificationReport:
+    """Report on the nonzero band of a relation, refusing entries beyond a double."""
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise QNumberOverflowError(
+            f"{name} has an entry beyond double precision at "
+            f"twice_j={r.j.twice_j}, s={r.d.s!r}"
+        )
+    return _report(name, lhs, rhs, tol)
 
 
 def _commutator(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     return a @ b - b @ a
 
 
+def _read_only(a: NDArray) -> NDArray:
+    a.setflags(write=False)
+    return a
+
+
+def _weights(j: SpinLabel) -> FloatVector:
+    """The weights m of the basis, descending."""
+    return np.array(j.twice_m_values(), dtype=np.float64) / 2.0
+
+
+def _ladder_squares(r: IrrepMatrices) -> FloatVector:
+    """u_k^2 with a zero on either end: the diagonals of I- I+ (drop the
+    last entry) and of I+ I- (drop the first)."""
+    squares = np.zeros(r.dim + 1)
+    squares[1:-1] = r.ladder * r.ladder
+    return squares
+
+
+def _casimir_products(r: IrrepMatrices) -> FloatVector:
+    """The diagonal [m][m+1] of [Iz][Iz + 1]."""
+    return np.array(
+        [qnumber(tm / 2.0, r.d) * qnumber(tm / 2.0 + 1.0, r.d) for tm in r.j.twice_m_values()],
+        dtype=np.float64,
+    )
+
+
 def build_irrep(j: SpinLabel, d: DeformationParameter) -> IrrepMatrices:
-    """Construct Iz, I+, I- on the spin-j module.
+    """Construct the ladder weights of Iz, I+, I- on the spin-j module.
 
     The raising weight between |m> and |m+1> is sqrt([j+m+1][j-m]); the
     bracket arguments are assembled from twice-integers so they are
     exact, and the radicand is asserted non-negative (guaranteed for
-    real q > 0) rather than clamped.
+    real q > 0) rather than clamped.  Where the product of the two
+    brackets overflows although its root is representable, the root is
+    taken factor by factor.
     """
     tj = j.twice_j
-    dim = tj + 1
-    iz = np.zeros((dim, dim), dtype=np.complex128)
-    iplus = np.zeros((dim, dim), dtype=np.complex128)
-    for k, tm in enumerate(j.twice_m_values()):
-        iz[k, k] = tm / 2.0
-        if k > 0:
-            # Column k holds |m>, row k-1 holds |m+1>.
-            raise_arg = (tj + tm) // 2 + 1  # j + m + 1
-            lower_arg = (tj - tm) // 2  # j - m
-            radicand = qnumber(raise_arg, d) * qnumber(lower_arg, d)
-            assert radicand >= 0.0, (
-                f"negative ladder radicand {radicand!r} at twice_j={tj}, twice_m={tm}"
-            )
-            iplus[k - 1, k] = math.sqrt(radicand)
-    iminus = iplus.conj().T.copy()
-    for a in (iz, iplus, iminus):
-        a.setflags(write=False)
-    return IrrepMatrices(j=j, d=d, iz=iz, iplus=iplus, iminus=iminus)
+    ladder = []
+    for tm in j.twice_m_values()[1:]:
+        # Column k holds |m>, row k-1 holds |m+1>.
+        raise_bracket = qnumber((tj + tm) // 2 + 1, d)  # [j + m + 1]
+        lower_bracket = qnumber((tj - tm) // 2, d)  # [j - m]
+        radicand = raise_bracket * lower_bracket
+        assert radicand >= 0.0, (
+            f"negative ladder radicand {radicand!r} at twice_j={tj}, twice_m={tm}"
+        )
+        if math.isinf(radicand):
+            ladder.append(math.sqrt(raise_bracket) * math.sqrt(lower_bracket))
+        else:
+            ladder.append(math.sqrt(radicand))
+    return IrrepMatrices(j=j, d=d, ladder=_read_only(np.array(ladder, dtype=np.float64)))
 
 
 def verify_commutators(r: IrrepMatrices, tol: float) -> list[VerificationReport]:
-    """Check the three defining relations on explicitly built matrices.
+    """Check the three defining relations on their nonzero diagonals.
 
     Relations: [Iz, I+] = +I+, [Iz, I-] = -I-, and [I+, I-] = [2 Iz]
     with the right side the entrywise bracket of the doubled diagonal
-    of Iz (the value [2m] at weight m).
+    of Iz (the value [2m] at weight m).  Each side has nonzeros on one
+    diagonal only, and the entries there are the ones the dense matrix
+    products give, bit for bit (docs/derivations.md, sections 2-3).
+    Raises :class:`QNumberOverflowError` if an entry is not finite.
     """
-    doubled = np.diag(
-        np.array([qnumber(tm, r.d) for tm in r.j.twice_m_values()], dtype=np.complex128)
-    )
+    doubled = np.array([qnumber(tm, r.d) for tm in r.j.twice_m_values()], dtype=np.float64)
+    m, u = _weights(r.j), r.ladder
+    # Entries beyond a double are refused by _band_report, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = _ladder_squares(r)
+        raised = m[:-1] * u - u * m[1:]  # [Iz, I+], superdiagonal
+        lowered = m[1:] * u - u * m[:-1]  # [Iz, I-], subdiagonal
+        closed = squares[1:] - squares[:-1]  # [I+, I-], diagonal
     return [
-        _report("[Iz,I+] = +I+", _commutator(r.iz, r.iplus), r.iplus, tol),
-        _report("[Iz,I-] = -I-", _commutator(r.iz, r.iminus), -r.iminus, tol),
-        _report("[I+,I-] = [2Iz]", _commutator(r.iplus, r.iminus), doubled, tol),
+        _band_report(r, "[Iz,I+] = +I+", raised, u, tol),
+        _band_report(r, "[Iz,I-] = -I-", lowered, -u, tol),
+        _band_report(r, "[I+,I-] = [2Iz]", closed, doubled, tol),
     ]
 
 
@@ -146,11 +217,8 @@ def casimir_standard(r: IrrepMatrices) -> ComplexMatrix:
     telescoping identity [j+m+1][j-m] + [m][m+1] = [j][j+1] makes the
     sum a multiple of the identity (docs/derivations.md).
     """
-    diag = np.array(
-        [qnumber(tm / 2.0, r.d) * qnumber(tm / 2.0 + 1.0, r.d) for tm in r.j.twice_m_values()],
-        dtype=np.complex128,
-    )
-    return r.iminus @ r.iplus + np.diag(diag)
+    products = _casimir_products(r)
+    return r.iminus @ r.iplus + np.diag(products)
 
 
 def casimir_symmetrized(r: IrrepMatrices) -> ComplexMatrix:
@@ -167,11 +235,20 @@ def casimir_symmetrized(r: IrrepMatrices) -> ComplexMatrix:
 
 
 def casimir_identity_report(r: IrrepMatrices, tol: float) -> VerificationReport:
-    """Report for casimir_standard(r) == [j][j+1] * Identity."""
+    """Report for casimir_standard(r) == [j][j+1] * Identity.
+
+    Both sides are diagonal, u_k^2 + [m][m+1] on the left, so the check
+    runs on the diagonal alone with the bits of the dense product.
+    Raises :class:`QNumberOverflowError` if an entry is not finite.
+    """
     tj = r.j.twice_j
     eigenvalue = qnumber(tj / 2.0, r.d) * qnumber(tj / 2.0 + 1.0, r.d)
-    expected = eigenvalue * np.eye(r.dim, dtype=np.complex128)
-    return _report("I-I+ + [Iz][Iz+1] = [j][j+1] Id", casimir_standard(r), expected, tol)
+    products = _casimir_products(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = _ladder_squares(r)[:-1] + products
+    return _band_report(
+        r, "I-I+ + [Iz][Iz+1] = [j][j+1] Id", lhs, np.full(r.dim, eigenvalue), tol
+    )
 
 
 def _cartesian(r: IrrepMatrices) -> tuple[ComplexMatrix, ComplexMatrix, ComplexMatrix]:

@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhydrogen.irreps import (
+    VerificationReport,
     build_irrep,
     casimir_identity_report,
     casimir_standard,
@@ -14,7 +16,7 @@ from qhydrogen.irreps import (
     verify_commutators,
     verify_so4_limit,
 )
-from qhydrogen.qnum import DeformationParameter, SpinLabel, qnumber
+from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
 
 Q_GRID = [0.5, 0.9, 1.0, 1.1, 2.0, 5.0]
 
@@ -22,6 +24,77 @@ Q_GRID = [0.5, 0.9, 1.0, 1.1, 2.0, 5.0]
 def max_normalized(a, b):
     scale = max(1.0, np.max(np.abs(a)), np.max(np.abs(b)))
     return np.max(np.abs(a - b)) / scale
+
+
+# Dense oracle: the matrices and checks as built before the banded
+# evaluation, with explicit complex matrix products.
+
+
+def dense_matrices(j, d):
+    tj = j.twice_j
+    dim = tj + 1
+    iz = np.zeros((dim, dim), dtype=np.complex128)
+    iplus = np.zeros((dim, dim), dtype=np.complex128)
+    for k, tm in enumerate(j.twice_m_values()):
+        iz[k, k] = tm / 2.0
+        if k > 0:
+            radicand = qnumber((tj + tm) // 2 + 1, d) * qnumber((tj - tm) // 2, d)
+            iplus[k - 1, k] = math.sqrt(radicand)
+    return iz, iplus, iplus.conj().T.copy()
+
+
+def dense_report(name, lhs, rhs, tol):
+    def max_abs(a):
+        return float(np.max(np.abs(a))) if a.size else 0.0
+
+    scale = max(1.0, max_abs(lhs), max_abs(rhs))
+    deviation = max_abs(lhs - rhs) / scale
+    return VerificationReport(name, deviation, float(tol), deviation <= float(tol))
+
+
+def commutator(a, b):
+    return a @ b - b @ a
+
+
+def dense_verify_commutators(r, tol):
+    doubled = np.diag(
+        np.array([qnumber(tm, r.d) for tm in r.j.twice_m_values()], dtype=np.complex128)
+    )
+    return [
+        dense_report("[Iz,I+] = +I+", commutator(r.iz, r.iplus), r.iplus, tol),
+        dense_report("[Iz,I-] = -I-", commutator(r.iz, r.iminus), -r.iminus, tol),
+        dense_report("[I+,I-] = [2Iz]", commutator(r.iplus, r.iminus), doubled, tol),
+    ]
+
+
+def dense_casimir_identity_report(r, tol):
+    tj = r.j.twice_j
+    eigenvalue = qnumber(tj / 2.0, r.d) * qnumber(tj / 2.0 + 1.0, r.d)
+    expected = eigenvalue * np.eye(r.dim, dtype=np.complex128)
+    diag = np.array(
+        [qnumber(tm / 2.0, r.d) * qnumber(tm / 2.0 + 1.0, r.d) for tm in r.j.twice_m_values()],
+        dtype=np.complex128,
+    )
+    lhs = r.iminus @ r.iplus + np.diag(diag)
+    return dense_report("I-I+ + [Iz][Iz+1] = [j][j+1] Id", lhs, expected, tol)
+
+
+def all_reports(tj, d, commutators, casimir, tol=1e-11):
+    """Reports of one spin, or the type and message of the error that stopped them."""
+    try:
+        r = build_irrep(SpinLabel(tj), d)
+        return commutators(r, tol) + [casimir(r, tol)]
+    except QNumberOverflowError as exc:
+        return type(exc), str(exc)
+
+
+BANDED = (verify_commutators, casimir_identity_report)
+DENSE = (dense_verify_commutators, dense_casimir_identity_report)
+PARITY_DEFORMATIONS = [
+    *(DeformationParameter(q) for q in (1.0, 1.3, 0.7, 2.0, 5.0, 1.0 + 1e-7, 1.0 - 1e-9)),
+    DeformationParameter.from_s(1e-5),
+    DeformationParameter.from_s(-1.1),
+]
 
 
 class TestBuildIrrep:
@@ -65,6 +138,48 @@ class TestBuildIrrep:
         r = build_irrep(SpinLabel(2), DeformationParameter(2.0))
         with pytest.raises(ValueError):
             r.iz[0, 0] = 9.0
+        for a in (r.ladder, r.iz, r.iplus, r.iminus):
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("d", PARITY_DEFORMATIONS[:4], ids=lambda d: f"s={d.s!r}")
+    def test_lazy_matrices_equal_dense_construction(self, d):
+        for tj in (0, 1, 2, 7, 30):
+            r = build_irrep(SpinLabel(tj), d)
+            for built, dense in zip((r.iz, r.iplus, r.iminus), dense_matrices(SpinLabel(tj), d)):
+                assert built.dtype == np.complex128
+                assert np.array_equal(built, dense)
+                # signed zeros too: dump-irrep prints the imaginary parts
+                assert built.tobytes() == dense.tobytes()
+
+    def test_ladder_is_the_superdiagonal(self):
+        r = build_irrep(SpinLabel(9), DeformationParameter(1.7))
+        assert r.ladder.dtype == np.float64 and r.ladder.shape == (9,)
+        assert np.array_equal(r.ladder, np.diagonal(r.iplus, 1).real)
+
+    def test_overflowing_radicand_gives_finite_ladder(self):
+        # [j+m+1][j-m] overflows near m = 0 at s = 0.5, 2j = 1419, but its root
+        # is about 1.3e154.
+        d = DeformationParameter.from_s(0.5)
+        tj = 1419
+        r = build_irrep(SpinLabel(tj), d)
+        assert np.isfinite(r.ladder).all()
+        pairs = [((tj + tm) // 2 + 1, (tj - tm) // 2) for tm in SpinLabel(tj).twice_m_values()[1:]]
+        assert any(math.isinf(qnumber(a, d) * qnumber(b, d)) for a, b in pairs)
+        with mpmath.workdps(40):
+            s = mpmath.mpf(d.s)
+
+            def bracket(x):
+                return mpmath.sinh(s * x) / mpmath.sinh(s)
+
+            exact = [float(mpmath.sqrt(bracket(a) * bracket(b))) for a, b in pairs]
+        assert max(abs(u - e) / e for u, e in zip(r.ladder, exact)) <= 1e-14
+
+    def test_overflowing_radicand_stops_verification(self):
+        r = build_irrep(SpinLabel(1419), DeformationParameter.from_s(0.5))
+        with pytest.raises(QNumberOverflowError, match="twice_j=1419"):
+            verify_commutators(r, 1e-11)
+        with pytest.raises(QNumberOverflowError, match="twice_j=1419"):
+            casimir_identity_report(r, 1e-11)
 
     def test_q_inversion_gives_identical_matrices(self):
         for q in [0.5, 1.1, 2.0, 5.0]:
@@ -113,6 +228,46 @@ class TestCommutators:
         r = build_irrep(SpinLabel(4), DeformationParameter(1.5))
         for rep in verify_commutators(r, 1e-30):
             assert rep.passed == (rep.max_abs_deviation <= rep.tolerance)
+
+
+class TestBandedParity:
+    """The banded checks reproduce the dense products bit for bit."""
+
+    @pytest.mark.parametrize("d", PARITY_DEFORMATIONS, ids=lambda d: f"s={d.s!r}")
+    def test_reports_equal_dense_up_to_2j_120(self, d):
+        for tj in range(121):
+            assert all_reports(tj, d, *BANDED) == all_reports(tj, d, *DENSE), tj
+
+    @pytest.mark.parametrize(
+        "q, twice_j", [(1.3, 255), (1.3, 400), (0.7, 338), (1.0 + 1e-7, 400)]
+    )
+    def test_reports_equal_dense_at_large_spins(self, q, twice_j):
+        d = DeformationParameter(q)
+        assert all_reports(twice_j, d, *BANDED) == all_reports(twice_j, d, *DENSE)
+
+    @pytest.mark.parametrize(
+        "s, spins",
+        [
+            (3.0, range(420, 481, 20)),
+            # the bracket [j + 1] of the Casimir eigenvalue is the first to overflow
+            (500.0, [1]),
+            (-720.0, [0, 1, 2]),
+        ],
+    )
+    def test_errors_equal_dense(self, s, spins):
+        d = DeformationParameter.from_s(s)
+        for tj in spins:
+            assert all_reports(tj, d, *BANDED) == all_reports(tj, d, *DENSE), tj
+
+    def test_overflow_error_comes_from_the_casimir_bracket(self):
+        error = all_reports(1, DeformationParameter.from_s(500.0), *BANDED)
+        assert error[0] is QNumberOverflowError and "x=1.5" in error[1]
+
+    def test_no_dense_matrix_is_built(self):
+        r = build_irrep(SpinLabel(40), DeformationParameter(1.3))
+        verify_commutators(r, 1e-11)
+        casimir_identity_report(r, 1e-11)
+        assert not {"iz", "iplus", "iminus"} & vars(r).keys()
 
 
 class TestCasimirStandard:

@@ -157,8 +157,8 @@ class TestBuildIrrep:
         assert np.array_equal(r.ladder, np.diagonal(r.iplus, 1).real)
 
     def test_overflowing_radicand_gives_finite_ladder(self):
-        # [j+m+1][j-m] overflows near m = 0 at s = 0.5, 2j = 1419, but its root
-        # is about 1.3e154.
+        # At s = 0.5, 2j = 1419, [j+m+1][j-m] overflows for all but the
+        # outermost weights, but its root is about 1.4e154.
         d = DeformationParameter.from_s(0.5)
         tj = 1419
         r = build_irrep(SpinLabel(tj), d)

@@ -12,14 +12,12 @@ from .qnum import (
     QNumberOverflowError,
     SpinLabel,
     qnumber,
-    qnumber_series_coeffs,
 )
 from .irreps import (
     IrrepMatrices,
     VerificationReport,
     build_irrep,
     casimir_identity_report,
-    casimir_standard,
     casimir_symmetrized,
     verify_commutators,
     verify_so4_limit,
@@ -62,7 +60,6 @@ __all__ = [
     "VerificationReport",
     "build_irrep",
     "casimir_identity_report",
-    "casimir_standard",
     "casimir_symmetrized",
     "degeneracy_summary",
     "denominator",
@@ -71,7 +68,6 @@ __all__ = [
     "enumerate_states",
     "level_table",
     "qnumber",
-    "qnumber_series_coeffs",
     "series_table",
     "splitting_scan",
     "transition",

@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from .irreps import build_irrep, casimir_identity_report, verify_commutators
-from .lines import series_table, splitting_scan
+from .lines import ScanRow, series_table, splitting_scan
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel
 from .spectrum import (
     NonPositiveDenominatorError,
@@ -391,9 +391,9 @@ def scan(twice_j, s_values_text, s_min, s_max, s_count, fmt, output) -> None:
             if not math.isfinite(value):
                 raise click.UsageError(f"{name} must be finite, got {value!r}")
         s_values = [float(v) for v in np.linspace(s_min, s_max, s_count)]
-    # The ScanRow fields are these columns in order, so rows render as they come.
+    # The ScanRow fields are the columns, so rows render as they come.
     rows = splitting_scan(SpinLabel(twice_j), s_values)
-    columns = ["s", "q", "twice_j", "twice_abs_m", "energy_ry", "deviation_ry", "flag"]
+    columns = ScanRow._fields
     config = {"command": "scan", "twice_j": twice_j, "s_count": len(s_values)}
     _write(_render(fmt, config, columns, rows), output)
 

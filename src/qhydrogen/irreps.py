@@ -46,7 +46,6 @@ __all__ = [
     "VerificationReport",
     "build_irrep",
     "casimir_identity_report",
-    "casimir_standard",
     "casimir_symmetrized",
     "verify_commutators",
     "verify_so4_limit",
@@ -150,14 +149,6 @@ def _ladder_squares(r: IrrepMatrices) -> FloatVector:
     return squares
 
 
-def _casimir_products(r: IrrepMatrices) -> FloatVector:
-    """The diagonal [m][m+1] of [Iz][Iz + 1]."""
-    return np.array(
-        [qnumber(tm / 2.0, r.d) * qnumber(tm / 2.0 + 1.0, r.d) for tm in r.j.twice_m_values()],
-        dtype=np.float64,
-    )
-
-
 def build_irrep(j: SpinLabel, d: DeformationParameter) -> IrrepMatrices:
     """Construct the ladder weights of Iz, I+, I- on the spin-j module.
 
@@ -210,17 +201,6 @@ def verify_commutators(r: IrrepMatrices, tol: float) -> list[VerificationReport]
     ]
 
 
-def casimir_standard(r: IrrepMatrices) -> ComplexMatrix:
-    """The invariant I- I+ + [Iz][Iz + 1], equal to [j][j+1] Id on the module.
-
-    [Iz][Iz + 1] is the diagonal matrix with entries [m][m+1]; the
-    telescoping identity [j+m+1][j-m] + [m][m+1] = [j][j+1] makes the
-    sum a multiple of the identity (docs/derivations.md).
-    """
-    products = _casimir_products(r)
-    return r.iminus @ r.iplus + np.diag(products)
-
-
 def casimir_symmetrized(r: IrrepMatrices) -> ComplexMatrix:
     """The symmetrized quadratic (I+ I- + I- I+)/2 + Iz^2.
 
@@ -235,15 +215,21 @@ def casimir_symmetrized(r: IrrepMatrices) -> ComplexMatrix:
 
 
 def casimir_identity_report(r: IrrepMatrices, tol: float) -> VerificationReport:
-    """Report for casimir_standard(r) == [j][j+1] * Identity.
+    """Report on the standard Casimir: I- I+ + [Iz][Iz + 1] == [j][j+1] * Identity.
 
+    [Iz][Iz + 1] is the diagonal matrix with entries [m][m+1], and the
+    telescoping identity [j+m+1][j-m] + [m][m+1] = [j][j+1] makes the
+    sum a multiple of the identity (docs/derivations.md, section 3).
     Both sides are diagonal, u_k^2 + [m][m+1] on the left, so the check
     runs on the diagonal alone with the bits of the dense product.
     Raises :class:`QNumberOverflowError` if an entry is not finite.
     """
     tj = r.j.twice_j
     eigenvalue = qnumber(tj / 2.0, r.d) * qnumber(tj / 2.0 + 1.0, r.d)
-    products = _casimir_products(r)
+    products = np.array(
+        [qnumber(tm / 2.0, r.d) * qnumber(tm / 2.0 + 1.0, r.d) for tm in r.j.twice_m_values()],
+        dtype=np.float64,
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = _ladder_squares(r)[:-1] + products
     return _band_report(

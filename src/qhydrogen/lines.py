@@ -16,6 +16,7 @@ from .qnum import DeformationParameter, SpinLabel
 from .spectrum import (
     UnitsConfig,
     _brackets,
+    _check_weight,
     _denominators,
     energy,
     energy_undeformed,
@@ -82,6 +83,14 @@ class ScanRow(NamedTuple):
     flag: str
 
 
+def _check_level(key: LevelKey) -> None:
+    j, twice_abs_m = key
+    # Named twice_m so that an invalid weight reads as energy() reports it.
+    _check_weight(j, twice_abs_m, "twice_m")
+    if twice_abs_m < 0:
+        raise ValueError(f"twice_abs_m must be >= 0, got {twice_abs_m}")
+
+
 def _line(
     upper: LevelKey, e_upper: float, lower: LevelKey, e_lower: float, units: UnitsConfig
 ) -> TransitionLine:
@@ -101,8 +110,10 @@ def transition(
     The arguments need not be ordered; the returned ``upper`` is the
     endpoint with the higher energy.  Raises
     :class:`DegenerateTransitionError` when the two energies are
-    exactly equal.
+    exactly equal, and ValueError for a negative |m|.
     """
+    _check_level(upper)
+    _check_level(lower)
     e_first = energy(upper[0], upper[1], d)
     e_second = energy(lower[0], lower[1], d)
     if e_first == e_second:
@@ -127,7 +138,8 @@ def series_table(
     level.  Exactly coincident candidates (the m-split sublevels merge
     at q = 1) produce a single line labelled by the first of them in
     the table's tie order, i.e. the smallest (j, |m|).  Sorted by
-    ascending transition energy; empty if nothing lies above.
+    ascending transition energy; empty if nothing lies above.  A
+    negative lower |m| raises ValueError.
     """
     if j_max < lower_j:
         raise ValueError(
@@ -136,6 +148,7 @@ def series_table(
         )
     units = units or UnitsConfig()
     lower = (lower_j, lower_twice_abs_m)
+    _check_level(lower)
     e_lower = energy(lower_j, lower_twice_abs_m, d)
     lines: list[TransitionLine] = []
     e_last = e_lower

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 __all__ = [
     "DeformationParameter",
     "QNumberOverflowError",
     "SpinLabel",
     "qnumber",
-    "qnumber_series_coeffs",
 ]
 
 
@@ -41,14 +41,15 @@ class DeformationParameter:
     q = 1.0.  Complex q (a pure phase deformation) is rejected; real
     positive q keeps every bracket, ladder weight and energy real.
 
-    ``small_s_threshold`` is the |s| below which :func:`qnumber`
-    switches from the sinh ratio to the power series.  The default 1e-4
-    keeps the series truncation error under double rounding for
+    ``small_s_threshold`` is the fixed |s| = 1e-4 below which
+    :func:`qnumber` switches from the sinh ratio to the power series;
+    there the series truncation error stays under double rounding for
     |x| <= 50.
     """
 
+    small_s_threshold: ClassVar[float] = 1e-4
+
     q: float
-    small_s_threshold: float = 1e-4
     s: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
@@ -60,18 +61,11 @@ class DeformationParameter:
         q = float(self.q)
         if not math.isfinite(q) or q <= 0.0:
             raise ValueError(f"q must be a finite positive real, got {self.q!r}")
-        threshold = float(self.small_s_threshold)
-        if not math.isfinite(threshold) or threshold <= 0.0:
-            raise ValueError(
-                f"small_s_threshold must be a finite positive real, "
-                f"got {self.small_s_threshold!r}"
-            )
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "small_s_threshold", threshold)
         object.__setattr__(self, "s", 0.0 if q == 1.0 else math.log(q))
 
     @classmethod
-    def from_s(cls, s: float, small_s_threshold: float = 1e-4) -> "DeformationParameter":
+    def from_s(cls, s: float) -> "DeformationParameter":
         """Build from s = ln q, storing the given s bit-exactly."""
         s = float(s)
         if not math.isfinite(s):
@@ -82,7 +76,7 @@ class DeformationParameter:
             raise ValueError(f"s = {s!r} puts q = e^s outside the floating range") from None
         if q == 0.0:
             raise ValueError(f"s = {s!r} puts q = e^s outside the floating range")
-        d = cls(q, small_s_threshold)
+        d = cls(q)
         object.__setattr__(d, "s", s)
         return d
 
@@ -106,13 +100,6 @@ class SpinLabel:
             raise TypeError(f"twice_j must be an int, got {self.twice_j!r}")
         if self.twice_j < 0:
             raise ValueError(f"twice_j must be >= 0, got {self.twice_j}")
-
-    @classmethod
-    def from_j(cls, j: float) -> "SpinLabel":
-        twice = 2.0 * float(j)
-        if twice != round(twice):
-            raise ValueError(f"j must be a non-negative half-integer, got {j!r}")
-        return cls(int(round(twice)))
 
     @property
     def j(self) -> float:
@@ -174,10 +161,10 @@ def qnumber(x: float, d: DeformationParameter) -> float:
     """Evaluate the bracket [x] = sinh(s x)/sinh(s).
 
     At s = 0 the exact limit x is returned.  For 0 < |s| below the
-    parameter's threshold (and |s x| small enough that the truncation
-    error stays below double rounding) the even series of
-    :func:`qnumber_series_coeffs` through s^4 is used; otherwise the
-    sinh ratio.  Negative x goes through [-x] = -[x], which makes the
+    fixed threshold 1e-4 (and |s x| small enough that the truncation
+    error stays below double rounding) the even series in s through s^4
+    is used (docs/derivations.md, section 1); otherwise the sinh
+    ratio.  Negative x goes through [-x] = -[x], which makes the
     oddness of the bracket exact in floating point.
 
     Raises :class:`QNumberOverflowError` when the result has no finite
@@ -195,23 +182,3 @@ def qnumber(x: float, d: DeformationParameter) -> float:
     if abs(s) < threshold and abs(s) * x < 50.0 * threshold:
         return _series_eval(x, s)
     return _sinh_ratio_eval(x, s)
-
-
-def qnumber_series_coeffs(x: float, order: int) -> list[float]:
-    """Coefficients of the even expansion [x] = c0 + c2 s^2 + c4 s^4 + O(s^6).
-
-    Returns the coefficients of the even powers of s up to s^order:
-    c0 = x, c2 = x(x^2-1)/6, c4 = x(x^2-1)(3x^2-7)/360.  Orders 0..4
-    are supported; odd coefficients all vanish by the s -> -s symmetry
-    of the bracket, so an odd order returns the same list as order - 1.
-    """
-    if isinstance(order, bool) or not isinstance(order, int) or not 0 <= order <= 4:
-        raise ValueError(f"order must be an integer in [0, 4], got {order!r}")
-    x = float(x)
-    x2 = x * x
-    coeffs = [
-        x,
-        x * (x2 - 1.0) / 6.0,
-        x * (x2 - 1.0) * (3.0 * x2 - 7.0) / 360.0,
-    ]
-    return coeffs[: order // 2 + 1]

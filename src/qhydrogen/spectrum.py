@@ -77,11 +77,8 @@ class QuantumState:
     twice_p: int
 
     def __post_init__(self) -> None:
-        for name, value in (("twice_m", self.twice_m), ("twice_p", self.twice_p)):
-            if abs(value) > self.j.twice_j or (value - self.j.twice_j) % 2 != 0:
-                raise ValueError(
-                    f"{name}={value} is not a valid weight for twice_j={self.j.twice_j}"
-                )
+        _check_weight(self.j, self.twice_m, "twice_m")
+        _check_weight(self.j, self.twice_p, "twice_p")
 
 
 class EnergyLevel(NamedTuple):
@@ -130,11 +127,11 @@ class UnitsConfig:
         return energy_ry
 
 
-def _check_weight(j: SpinLabel, twice_m: int) -> None:
-    if isinstance(twice_m, bool) or not isinstance(twice_m, int):
-        raise TypeError(f"twice_m must be an int, got {twice_m!r}")
-    if abs(twice_m) > j.twice_j or (twice_m - j.twice_j) % 2 != 0:
-        raise ValueError(f"twice_m={twice_m} is not a valid weight for twice_j={j.twice_j}")
+def _check_weight(j: SpinLabel, value: int, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if abs(value) > j.twice_j or (value - j.twice_j) % 2 != 0:
+        raise ValueError(f"{name}={value} is not a valid weight for twice_j={j.twice_j}")
 
 
 def _check_mode(mode: str) -> None:
@@ -190,7 +187,7 @@ def denominator(j: SpinLabel, twice_m: int, d: DeformationParameter) -> float:
     state.  The evaluation order is fixed so that D is bit-identical
     under m -> -m and collapses to the exact integer 2(2j+1)^2 at s = 0.
     """
-    _check_weight(j, twice_m)
+    _check_weight(j, twice_m, "twice_m")
     m = twice_m / 2.0
     value = _combine(
         qnumber(j.twice_j / 2.0, d),

@@ -11,7 +11,6 @@ from qhydrogen.irreps import (
     VerificationReport,
     build_irrep,
     casimir_identity_report,
-    casimir_standard,
     casimir_symmetrized,
     verify_commutators,
     verify_so4_limit,
@@ -67,16 +66,20 @@ def dense_verify_commutators(r, tol):
     ]
 
 
-def dense_casimir_identity_report(r, tol):
-    tj = r.j.twice_j
-    eigenvalue = qnumber(tj / 2.0, r.d) * qnumber(tj / 2.0 + 1.0, r.d)
-    expected = eigenvalue * np.eye(r.dim, dtype=np.complex128)
+def casimir_standard(r):
+    """The invariant I- I+ + [Iz][Iz + 1], equal to [j][j+1] Id on the module."""
     diag = np.array(
         [qnumber(tm / 2.0, r.d) * qnumber(tm / 2.0 + 1.0, r.d) for tm in r.j.twice_m_values()],
         dtype=np.complex128,
     )
-    lhs = r.iminus @ r.iplus + np.diag(diag)
-    return dense_report("I-I+ + [Iz][Iz+1] = [j][j+1] Id", lhs, expected, tol)
+    return r.iminus @ r.iplus + np.diag(diag)
+
+
+def dense_casimir_identity_report(r, tol):
+    tj = r.j.twice_j
+    eigenvalue = qnumber(tj / 2.0, r.d) * qnumber(tj / 2.0 + 1.0, r.d)
+    expected = eigenvalue * np.eye(r.dim, dtype=np.complex128)
+    return dense_report("I-I+ + [Iz][Iz+1] = [j][j+1] Id", casimir_standard(r), expected, tol)
 
 
 def all_reports(tj, d, commutators, casimir, tol=1e-11):

@@ -99,6 +99,13 @@ class TestTransition:
         line = transition((SpinLabel(1), 1), (SpinLabel(0), 0), DeformationParameter(1.0))
         assert line.wavelength_nm == pytest.approx(121.502, abs=1e-3)
 
+    def test_rejects_negative_abs_m(self):
+        d = DeformationParameter(2.0)
+        with pytest.raises(ValueError, match="twice_abs_m must be >= 0, got -2"):
+            transition((SpinLabel(2), -2), (SpinLabel(0), 0), d)
+        with pytest.raises(ValueError, match="twice_abs_m must be >= 0, got -1"):
+            transition((SpinLabel(0), 0), (SpinLabel(1), -1), d)
+
 
 class TestSeriesTable:
     def test_undeformed_lyman_collapses_split_levels(self):
@@ -121,6 +128,10 @@ class TestSeriesTable:
     def test_rejects_j_max_below_lower(self):
         with pytest.raises(ValueError):
             series_table(SpinLabel(4), 0, SpinLabel(2), DeformationParameter(1.0))
+
+    def test_rejects_negative_lower_abs_m(self):
+        with pytest.raises(ValueError, match="twice_abs_m must be >= 0, got -1"):
+            series_table(SpinLabel(1), -1, SpinLabel(3), DeformationParameter(2.0))
 
     def test_sorted_ascending(self):
         table = series_table(SpinLabel(0), 0, SpinLabel(8), DeformationParameter(1.7))

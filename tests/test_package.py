@@ -1,0 +1,66 @@
+"""Package-level contract: the public names and the `python -m qhydrogen` entry point."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+
+@pytest.mark.parametrize(
+    "module_name",
+    [
+        "qhydrogen",
+        "qhydrogen.qnum",
+        "qhydrogen.spectrum",
+        "qhydrogen.lines",
+        "qhydrogen.irreps",
+        "qhydrogen.cli",
+    ],
+)
+def test_all_names_resolve(module_name):
+    module = importlib.import_module(module_name)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_star_import():
+    namespace = {}
+    exec("from qhydrogen import *", namespace)
+    assert set(importlib.import_module("qhydrogen").__all__) <= namespace.keys()
+
+
+def run_module(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "qhydrogen", *args],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+
+
+class TestEntryPoint:
+    def test_levels_matches_golden(self):
+        done = run_module("levels", "--q", "2", "--j-max", "2")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (GOLDEN / "levels_q2_jmax2.csv").read_bytes()
+
+    def test_validation_error_exits_1(self):
+        done = run_module("levels", "--q", "-1")
+        assert done.returncode == 1
+        assert done.stdout == b""
+
+    def test_computational_error_exits_2(self):
+        done = run_module("levels", "--q", "1e300", "--j-max", "4")
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert done.stderr.startswith(b"error: ")

@@ -14,7 +14,6 @@ from qhydrogen.qnum import (
     _series_eval,
     _sinh_ratio_eval,
     qnumber,
-    qnumber_series_coeffs,
 )
 
 Q_GRID = [0.5, 0.9, 1.0 + 1e-9, 1.1, 2.0, 5.0]
@@ -28,6 +27,16 @@ def qnumber_highprec(x: float, q: float) -> float:
         if s == 0:
             return float(x)
         return float(mpmath.sinh(s * mpmath.mpf(x)) / mpmath.sinh(s))
+
+
+def series_coeffs(x: float) -> list[float]:
+    """Coefficients c0, c2, c4 of [x] = c0 + c2 s^2 + c4 s^4 + O(s^6).
+
+    The closed forms of docs/derivations.md, section 1, checked against
+    finite differences of the mpmath sinh ratio in TestSeriesCoeffs.
+    """
+    x2 = x * x
+    return [x, x * (x2 - 1.0) / 6.0, x * (x2 - 1.0) * (3.0 * x2 - 7.0) / 360.0]
 
 
 class TestDeformationParameter:
@@ -61,9 +70,13 @@ class TestDeformationParameter:
         with pytest.raises(TypeError):
             DeformationParameter(complex(0.0, 1.0))
 
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            DeformationParameter(2.0, small_s_threshold=0.0)
+    def test_threshold_is_fixed(self):
+        assert DeformationParameter(2.0).small_s_threshold == 1e-4
+        assert DeformationParameter.from_s(1e-6).small_s_threshold == 1e-4
+        with pytest.raises(TypeError):
+            DeformationParameter(2.0, 1e-3)
+        with pytest.raises(TypeError):
+            DeformationParameter.from_s(1e-6, 1e-3)
 
     def test_from_s_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -86,14 +99,6 @@ class TestSpinLabel:
     def test_twice_m_values_descending(self):
         assert SpinLabel(3).twice_m_values() == [3, 1, -1, -3]
         assert SpinLabel(0).twice_m_values() == [0]
-
-    def test_from_j(self):
-        assert SpinLabel.from_j(1.5).twice_j == 3
-        assert SpinLabel.from_j(2).twice_j == 4
-        with pytest.raises(ValueError):
-            SpinLabel.from_j(0.3)
-        with pytest.raises(ValueError):
-            SpinLabel.from_j(-0.5)
 
     def test_rejects_negative_and_non_int(self):
         with pytest.raises(ValueError):
@@ -238,8 +243,8 @@ class TestQNumberErrors:
 
 class TestSeriesCoeffs:
     def test_trivial_examples(self):
-        assert qnumber_series_coeffs(1.0, 2) == [1.0, 0.0]
-        assert qnumber_series_coeffs(0.0, 2) == [0.0, 0.0]
+        assert series_coeffs(1.0) == [1.0, 0.0, 0.0]
+        assert series_coeffs(0.0) == [0.0, 0.0, 0.0]
 
     def test_x_two_against_finite_differences(self):
         # c2 from Richardson-extrapolated finite differences of the
@@ -251,7 +256,7 @@ class TestSeriesCoeffs:
                 return (mpmath.sinh(s * x) / mpmath.sinh(s) - x) / (s * s)
 
             c2_fd = float((4 * g(mpmath.mpf(1) / 2000) - g(mpmath.mpf(1) / 1000)) / 3)
-        coeffs = qnumber_series_coeffs(x, 2)
+        coeffs = series_coeffs(x)
         assert coeffs[0] == 2.0
         assert coeffs[1] == pytest.approx(1.0, rel=1e-12)  # 2(4-1)/6
         assert coeffs[1] == pytest.approx(c2_fd, rel=1e-9)
@@ -266,25 +271,14 @@ class TestSeriesCoeffs:
             s1, s2 = mpmath.mpf(1) / 100, mpmath.mpf(1) / 200
             # g(s) = c2 + c4 s^2 + O(s^4); solve the 2x2 system.
             c4_fd = float((g(s1) - g(s2)) / (s1 * s1 - s2 * s2))
-        coeffs = qnumber_series_coeffs(x, 4)
+        coeffs = series_coeffs(x)
         assert len(coeffs) == 3
         assert coeffs[2] == pytest.approx(c4_fd, rel=1e-3)
         assert coeffs[2] == pytest.approx(x * (x * x - 1) * (3 * x * x - 7) / 360.0, rel=1e-15)
 
-    def test_order_lengths(self):
-        assert len(qnumber_series_coeffs(2.0, 0)) == 1
-        assert len(qnumber_series_coeffs(2.0, 1)) == 1
-        assert len(qnumber_series_coeffs(2.0, 3)) == 2
-        assert len(qnumber_series_coeffs(2.0, 4)) == 3
-
-    @pytest.mark.parametrize("order", [-1, 5, 10])
-    def test_order_out_of_range(self, order):
-        with pytest.raises(ValueError):
-            qnumber_series_coeffs(2.0, order)
-
     def test_series_matches_bracket_at_small_s(self):
         x, s = 4.5, 1e-5
-        c = qnumber_series_coeffs(x, 4)
+        c = series_coeffs(x)
         series = c[0] + c[1] * s * s + c[2] * s ** 4
         d = DeformationParameter.from_s(s)
         assert qnumber(x, d) == pytest.approx(series, rel=1e-15)

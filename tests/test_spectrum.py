@@ -325,6 +325,22 @@ class TestQuantumStateValidation:
         with pytest.raises(ValueError):
             QuantumState(SpinLabel(3), 1, 5)  # |p| > j
 
+    def test_weights_share_the_energy_validator(self):
+        from qhydrogen.spectrum import QuantumState
+
+        d = DeformationParameter(2.0)
+        for bad in (2.0, True):
+            with pytest.raises(TypeError, match="^twice_m must be an int"):
+                QuantumState(SpinLabel(2), bad, 0)
+            with pytest.raises(TypeError, match="^twice_p must be an int"):
+                QuantumState(SpinLabel(2), 0, bad)
+            with pytest.raises(TypeError, match="^twice_m must be an int"):
+                energy(SpinLabel(2), bad, d)
+        for weights, name in (((1, 0), "twice_m=1"), ((0, 3), "twice_p=3")):
+            with pytest.raises(ValueError) as info:
+                QuantumState(SpinLabel(2), *weights)
+            assert str(info.value) == f"{name} is not a valid weight for twice_j=2"
+
     def test_deformed_energy_independent_of_p_by_construction(self):
         # energy() takes no p at all; the state space carries it only
         # for counting, so equal-|m| states share one level.

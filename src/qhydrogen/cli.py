@@ -80,15 +80,18 @@ def _json_value(value: Any) -> str:
 
 
 # Rows are formatted a column at a time, which skips the per-cell type
-# dispatch: the table picks one formatter per column from the set of value
-# types in it (`_column`), and CSV and JSON turn each run of _CHUNK_ROWS
-# rows into text with one `%` row template whose slot for a column of
-# plain floats, ints or strings takes the values as they are (`_slot`).
-# `_cell` (with `_json_value` and `_half`) stays the definition of a cell's
-# text; every column path below must produce exactly the string it gives
-# for each value, and any column they do not cover (bool, int mixed with
-# None, subclasses) goes through it cell by cell.  Chunks keep the
-# transposed columns of a long table from sitting in memory at once.
+# dispatch.  `_slot` picks, from the set of value types in a column, one
+# `%` slot and the values that fill it: plain floats, ints and strings
+# that need no quoting fill it as they are, any other column is filled
+# with its cell texts under "%s".  CSV and JSON turn each run of
+# _CHUNK_ROWS rows into text with one row template of these slots; the
+# table maps each slot over its fill, and renders twice-integer columns
+# as fractions (`_fractions`).  `_cell` (with `_json_value` and `_half`)
+# stays the definition of a cell's text; every column path below must
+# produce exactly the string it gives for each value, and any column they
+# do not cover (bool, int mixed with None, subclasses) goes through it
+# cell by cell.  Chunks keep the transposed columns of a long table from
+# sitting in memory at once.
 _CHUNK_ROWS = 2048
 
 # Characters that can make csv.writer quote a field, and those the JSON
@@ -110,31 +113,13 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _column(values: tuple, fmt: str, fraction: bool) -> Iterable[str]:
-    types = set(map(type, values))
-    if fraction:
-        if types <= {int, NoneType}:
-            text = {v: _half(v) for v in set(values) if v is not None}
-            text[None] = ""
-            return map(text.__getitem__, values)
-        return [_cell(v) if v is None else _half(v) for v in values]
-    if types == {float}:
-        return map("{:.15g}".format, values)
-    if types == {int}:
-        return map(str, values)
-    if types <= {float, NoneType}:
-        none = "null" if fmt == "json" else ""
-        return [none if v is None else f"{v:.15g}" for v in values]
-    if types == {str}:
-        if fmt == "table":
-            return values
-        quote = _json_value if fmt == "json" else _csv_field
-        text = {v: quote(v) for v in set(values)}
+def _fractions(values: tuple) -> Iterable[str]:
+    """A table column of twice-integers as halves: 3 becomes "3/2"."""
+    if set(map(type, values)) <= {int, NoneType}:
+        text = {v: _half(v) for v in set(values) if v is not None}
+        text[None] = ""
         return map(text.__getitem__, values)
-    if fmt == "json":
-        return map(_json_value, values)
-    cells = map(_cell, values)
-    return map(_csv_field, cells) if fmt == "csv" else cells
+    return ["" if v is None else _half(v) for v in values]
 
 
 def _floats_once(values: tuple, fmt: str) -> Iterable[str]:
@@ -150,25 +135,27 @@ def _floats_once(values: tuple, fmt: str) -> Iterable[str]:
 
 
 def _slot(values: tuple, fmt: str) -> tuple[str, Iterable]:
-    """One column's slot in a CSV or JSON row template, and what fills it.
-
-    Numbers and strings that need no quoting fill their slot as they are;
-    any other column is filled with its cell texts.
-    """
+    """One column's `%` slot in a row of ``fmt``, and what fills it."""
     types = set(map(type, values))
     if types == {int}:
         return "%d", values
     if types <= {float, NoneType}:
         head = values[:64]
-        if 2 * len(set(map(id, head))) <= len(head):
-            # The rows share float objects (a scan's s and q repeat on
-            # every |m| row), so formatting each object once is cheaper.
-            return "%s", _floats_once(values, fmt)
-        if types == {float}:
+        # Rows that share float objects (a scan's s and q repeat on every
+        # |m| row) are cheaper to format once per object.
+        if types == {float} and 2 * len(set(map(id, head))) > len(head):
             return "%.15g", values
-    elif types == {str} and not any(map(_SPECIAL[fmt], set(values))):
-        return ('"%s"' if fmt == "json" else "%s"), values
-    return "%s", _column(values, fmt, False)
+        return "%s", _floats_once(values, fmt)
+    if types == {str}:
+        if fmt == "table" or not any(map(_SPECIAL[fmt], set(values))):
+            return ('"%s"' if fmt == "json" else "%s"), values
+        quote = _json_value if fmt == "json" else _csv_field
+        text = {v: quote(v) for v in set(values)}
+        return "%s", map(text.__getitem__, values)
+    if fmt == "json":
+        return "%s", map(_json_value, values)
+    cells = map(_cell, values)
+    return "%s", (map(_csv_field, cells) if fmt == "csv" else cells)
 
 
 def _row_lines(fmt: str, keys: Sequence[str], end: str, rows: Sequence[tuple]) -> list[str]:
@@ -216,8 +203,14 @@ def _emit_json(config: dict[str, Any], columns: Sequence[str], rows: Sequence[tu
 def _emit_table(columns: Sequence[str], rows: Sequence[tuple]) -> str:
     names = [_FRACTION_COLUMNS.get(c, c) for c in columns]
     cols = zip(*rows) if rows else [()] * len(columns)
-    rendered = [list(_column(col, "table", c in _FRACTION_COLUMNS))
-                for c, col in zip(columns, cols)]
+
+    def cells(name: str, values: tuple) -> Iterable[str]:
+        if name in _FRACTION_COLUMNS:
+            return _fractions(values)
+        slot, fill = _slot(values, "table")
+        return fill if slot == "%s" else map(slot.__mod__, fill)
+
+    rendered = [list(cells(c, col)) for c, col in zip(columns, cols)]
     widths = [max(len(n), max(map(len, col), default=0)) for n, col in zip(names, rendered)]
     out = ["  ".join(n.ljust(w) for n, w in zip(names, widths)).rstrip()]
     out.append("  ".join("-" * w for w in widths))

@@ -28,7 +28,6 @@ so built values can be shared freely across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,7 +67,7 @@ class IrrepMatrices:
 
     @property
     def dim(self) -> int:
-        return self.j.twice_j + 1
+        return self.j.dim
 
     @cached_property
     def iz(self) -> ComplexMatrix:
@@ -152,28 +151,28 @@ def _ladder_squares(r: IrrepMatrices) -> FloatVector:
 def build_irrep(j: SpinLabel, d: DeformationParameter) -> IrrepMatrices:
     """Construct the ladder weights of Iz, I+, I- on the spin-j module.
 
-    The raising weight between |m> and |m+1> is sqrt([j+m+1][j-m]); the
-    bracket arguments are assembled from twice-integers so they are
-    exact, and the radicand is asserted non-negative (guaranteed for
-    real q > 0) rather than clamped.  Where the product of the two
-    brackets overflows although its root is representable, the root is
-    taken factor by factor.
+    The raising weight between |m> and |m+1> is sqrt([j+m+1][j-m]).  Down
+    the basis [j+m+1] runs through [2j]..[1] and [j-m] through the same
+    brackets in reverse, so each integer bracket is evaluated once; the
+    radicand is asserted non-negative (guaranteed for real q > 0) rather
+    than clamped.  Where the product of the two brackets overflows
+    although its root is representable, the root is taken factor by
+    factor.
     """
     tj = j.twice_j
-    ladder = []
-    for tm in j.twice_m_values()[1:]:
-        # Column k holds |m>, row k-1 holds |m+1>.
-        raise_bracket = qnumber((tj + tm) // 2 + 1, d)  # [j + m + 1]
-        lower_bracket = qnumber((tj - tm) // 2, d)  # [j - m]
-        radicand = raise_bracket * lower_bracket
-        assert radicand >= 0.0, (
-            f"negative ladder radicand {radicand!r} at twice_j={tj}, twice_m={tm}"
+    # Column k = 1..2j holds |m>, row k-1 holds |m+1>: [j+m+1] = [2j+1-k]
+    # is entry k-1 of [2j]..[1], and [j-m] = [k] that of its mirror.
+    brackets = np.array([qnumber(k, d) for k in range(tj, 0, -1)], dtype=np.float64)
+    mirror = brackets[::-1]
+    with np.errstate(over="ignore"):
+        radicand = brackets * mirror
+        assert (radicand >= 0.0).all(), (
+            f"negative ladder radicand {radicand.min()!r} at twice_j={tj}"
         )
-        if math.isinf(radicand):
-            ladder.append(math.sqrt(raise_bracket) * math.sqrt(lower_bracket))
-        else:
-            ladder.append(math.sqrt(radicand))
-    return IrrepMatrices(j=j, d=d, ladder=_read_only(np.array(ladder, dtype=np.float64)))
+        ladder = np.where(
+            np.isinf(radicand), np.sqrt(brackets) * np.sqrt(mirror), np.sqrt(radicand)
+        )
+    return IrrepMatrices(j=j, d=d, ladder=_read_only(ladder))
 
 
 def verify_commutators(r: IrrepMatrices, tol: float) -> list[VerificationReport]:
@@ -224,16 +223,17 @@ def casimir_identity_report(r: IrrepMatrices, tol: float) -> VerificationReport:
     runs on the diagonal alone with the bits of the dense product.
     Raises :class:`QNumberOverflowError` if an entry is not finite.
     """
-    tj = r.j.twice_j
-    eigenvalue = qnumber(tj / 2.0, r.d) * qnumber(tj / 2.0 + 1.0, r.d)
-    products = np.array(
-        [qnumber(tm / 2.0, r.d) * qnumber(tm / 2.0 + 1.0, r.d) for tm in r.j.twice_m_values()],
+    # [j+1], [j], ..., [-j]: the neighbours of entry k are [m_k+1] and [m_k].
+    brackets = np.array(
+        [qnumber(t / 2.0, r.d) for t in range(r.j.twice_j + 2, -r.j.twice_j - 1, -2)],
         dtype=np.float64,
     )
     with np.errstate(over="ignore", invalid="ignore"):
+        products = brackets[1:] * brackets[:-1]  # [m][m+1]
         lhs = _ladder_squares(r)[:-1] + products
+    # The first product, at m = j, is the eigenvalue [j][j+1].
     return _band_report(
-        r, "I-I+ + [Iz][Iz+1] = [j][j+1] Id", lhs, np.full(r.dim, eigenvalue), tol
+        r, "I-I+ + [Iz][Iz+1] = [j][j+1] Id", lhs, np.full(r.dim, products[0]), tol
     )
 
 

@@ -192,7 +192,7 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
         if overflow is not None:
             rows.extend(ScanRow(s, d.q, tj, tam, None, None, "overflow") for tam in twice_abs_ms)
             continue
-        for tam, value in zip(twice_abs_ms, _denominators(tj, b)):
+        for tam, value in _denominators(tj, b):
             if value > 0.0:
                 e = -2.0 / value
                 rows.append(ScanRow(s, d.q, tj, tam, e, e - e_flat, ""))

@@ -80,10 +80,6 @@ class DeformationParameter:
         object.__setattr__(d, "s", s)
         return d
 
-    @property
-    def is_undeformed(self) -> bool:
-        return self.s == 0.0
-
 
 @dataclass(frozen=True, order=True)
 class SpinLabel:
@@ -109,10 +105,6 @@ class SpinLabel:
     def dim(self) -> int:
         """Dimension 2j + 1 of the spin-j module (also the principal number n)."""
         return self.twice_j + 1
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice_j % 2 == 0
 
     def twice_m_values(self) -> list[int]:
         """All weights 2m from +2j down to -2j in steps of 2."""

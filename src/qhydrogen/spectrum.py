@@ -20,6 +20,7 @@ ranges can be computed in parallel and concatenated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Literal, NamedTuple
@@ -57,9 +58,9 @@ class NonPositiveDenominatorError(ArithmeticError):
         self.twice_m = twice_m
         self.q = q
         self.value = value
+        what = "is NaN" if math.isnan(value) else f"{value!r} <= 0"
         super().__init__(
-            f"energy denominator {value!r} <= 0 at twice_j={twice_j}, "
-            f"twice_m={twice_m}, q={q!r}"
+            f"energy denominator {what} at twice_j={twice_j}, twice_m={twice_m}, q={q!r}"
         )
 
 
@@ -111,10 +112,10 @@ class UnitsConfig:
     output_unit: Literal["rydberg", "ev", "wavenumber_per_cm"] = "rydberg"
 
     def __post_init__(self) -> None:
-        if not self.rydberg_ev > 0.0:
-            raise ValueError(f"rydberg_ev must be positive, got {self.rydberg_ev!r}")
-        if not self.rydberg_per_cm > 0.0:
-            raise ValueError(f"rydberg_per_cm must be positive, got {self.rydberg_per_cm!r}")
+        for name in ("rydberg_ev", "rydberg_per_cm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.output_unit not in ("rydberg", "ev", "wavenumber_per_cm"):
             raise ValueError(f"unknown output unit {self.output_unit!r}")
 
@@ -164,15 +165,16 @@ def _brackets(
     return table, None
 
 
-def _denominators(twice_j: int, b: list[float]) -> list[float]:
-    """D at spin j for each |m| in ascending order, from b[k] = [k/2], k <= 2j+2.
+def _denominators(twice_j: int, b: list[float]) -> list[tuple[int, float]]:
+    """(2|m|, D) at spin j for each |m| ascending, from b[k] = [k/2], k <= 2j+2.
 
     [m-1] for |m| < 1 is taken as -[1-|m|], the odd reflection qnumber
     itself applies to a negative argument.
     """
     bj, bj1 = b[twice_j], b[twice_j + 2]
     return [
-        _combine(bj, bj1, b[tam], b[tam + 2], b[tam - 2] if tam >= 2 else -b[2 - tam], tam / 2.0)
+        (tam,
+         _combine(bj, bj1, b[tam], b[tam + 2], b[tam - 2] if tam >= 2 else -b[2 - tam], tam / 2.0))
         for tam in range(twice_j % 2, twice_j + 1, 2)
     ]
 
@@ -209,7 +211,7 @@ def energy(j: SpinLabel, twice_m: int, d: DeformationParameter) -> float:
 
 def energy_undeformed(j: SpinLabel) -> float:
     """Undeformed bound energy -1/n^2 Ry with n = 2j + 1."""
-    n = j.twice_j + 1
+    n = j.dim
     return -1.0 / (n * n)
 
 
@@ -251,20 +253,19 @@ def level_table(j_max: SpinLabel, d: DeformationParameter, mode: Mode) -> list[E
     evaluation would raise them.
     """
     _check_mode(mode)
-    if mode == "deformed":
-        b, overflow = _brackets(j_max.twice_j + 2, d)
+    spins = map(SpinLabel, range(j_max.twice_j + 1))
+    if mode == "undeformed":
+        # -1/n^2 rises with n, so ascending j is already the sorted order.
+        return [EnergyLevel(j, 0, energy_undeformed(j), j.dim * j.dim, j.dim) for j in spins]
+    b, overflow = _brackets(j_max.twice_j + 2, d)
     levels: list[EnergyLevel] = []
-    for tj in range(j_max.twice_j + 1):
-        j = SpinLabel(tj)
-        n = tj + 1
-        if mode == "undeformed":
-            levels.append(EnergyLevel(j, 0, energy_undeformed(j), n * n, n))
-            continue
+    for j in spins:
+        tj, n = j.twice_j, j.dim
         if tj + 2 >= len(b):
             # b was cut short by `overflow` at [j+1]: this is the first row
             # that needs a bracket past the overflow.
             raise overflow
-        for tam, value in zip(range(tj % 2, tj + 1, 2), _denominators(tj, b)):
+        for tam, value in _denominators(tj, b):
             if not value > 0.0:
                 raise NonPositiveDenominatorError(tj, tam, d.q, value)
             levels.append(EnergyLevel(j, tam, -2.0 / value, 1 if tam == 0 else 4, n))

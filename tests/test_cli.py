@@ -313,6 +313,11 @@ class TestExitCodes:
         assert out == ""
         assert "[x] overflows double precision at x=2.0" in err
 
+    def test_nan_denominator_is_2(self, capsys):
+        code, out, err = run_cli(capsys, "levels", "--q", "2", "--j-max", "1030")
+        assert (code, out) == (2, "")
+        assert err == "error: energy denominator is NaN at twice_j=1022, twice_m=1022, q=2.0\n"
+
     def test_lines_j_max_below_lower_is_validation(self, capsys):
         code, _, _ = run_cli(capsys, "lines", "--lower-j", "4", "--j-max", "2")
         assert code == 1

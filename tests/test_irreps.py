@@ -197,6 +197,34 @@ class TestBuildIrrep:
         assert r.iz[0, 0] == 0 and r.iplus[0, 0] == 0 and r.iminus[0, 0] == 0
 
 
+class TestBracketsOnce:
+    """build_irrep and casimir_identity_report evaluate each bracket once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import qhydrogen.irreps
+
+        seen = []
+
+        def recorded(x, d):
+            seen.append(float(x))
+            return qnumber(x, d)
+
+        monkeypatch.setattr(qhydrogen.irreps, "qnumber", recorded)
+        return seen
+
+    @pytest.mark.parametrize("q", [1.0, 1.3, 0.7])
+    def test_no_argument_repeats(self, calls, q):
+        d = DeformationParameter(q)
+        for tj in range(10):
+            calls.clear()
+            r = build_irrep(SpinLabel(tj), d)
+            assert sorted(calls) == [float(k) for k in range(1, tj + 1)]
+            calls.clear()
+            casimir_identity_report(r, 1e-11)
+            assert sorted(calls) == [t / 2.0 for t in range(-tj, tj + 3, 2)]
+
+
 class TestCommutators:
     def test_j5_q13(self):
         r = build_irrep(SpinLabel(10), DeformationParameter(1.3))

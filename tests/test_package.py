@@ -1,4 +1,4 @@
-"""Package-level contract: the public names and the `python -m qhydrogen` entry point."""
+"""Package-level contract: the public names, the `python -m qhydrogen` entry point and the README examples."""
 
 import importlib
 import os
@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from qhydrogen.qnum import DeformationParameter
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -64,3 +66,31 @@ class TestEntryPoint:
         assert done.returncode == 2
         assert done.stdout == b""
         assert done.stderr.startswith(b"error: ")
+
+
+class TestReadme:
+    README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+    def block_after(self, first_line):
+        """The lines of the README code block from ``first_line`` to its fence."""
+        lines = self.README.splitlines()
+        start = lines.index(first_line)
+        return lines[start:lines.index("```", start)]
+
+    def test_cli_example_is_the_cli_output(self, capsys):
+        from qhydrogen.cli import main
+
+        command, *expected = self.block_after("$ qhydrogen levels --q 2 --j-max 2")
+        assert main(command.split()[2:]) == 0
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+    def test_library_example_energy(self):
+        snippet = self.block_after("from qhydrogen import (")
+        namespace = {}
+        exec("\n".join(snippet), namespace)
+        line = next(line for line in snippet if line.startswith("energy("))
+        call, comment = line.split("#")
+        assert call.strip() == "energy(SpinLabel(2), 2, d)"
+        assert comment.split()[:2] == ["-0.1", "Ry"]
+        assert namespace["d"] == DeformationParameter(2.0)
+        assert eval(call, namespace) == -0.1

@@ -43,7 +43,6 @@ class TestDeformationParameter:
     def test_q_one_is_exact(self):
         d = DeformationParameter(1.0)
         assert d.s == 0.0
-        assert d.is_undeformed
 
     def test_from_s_zero_is_exact(self):
         d = DeformationParameter.from_s(0.0)
@@ -92,7 +91,6 @@ class TestSpinLabel:
         j = SpinLabel(3)
         assert j.j == 1.5
         assert j.dim == 4
-        assert not j.is_integer
         assert str(j) == "3/2"
         assert str(SpinLabel(4)) == "2"
 

@@ -54,6 +54,15 @@ class TestDenominator:
         assert err.q == 1.5 and err.value == -0.25
         assert "twice_j=4" in str(err)
 
+    def test_nan_denominator_is_named_nan(self):
+        # [511][512] overflows at q = 2, so 8[j][j+1] - 4[m][m+1] is inf - inf
+        with pytest.raises(NonPositiveDenominatorError) as caught:
+            level_table(SpinLabel(1030), DeformationParameter(2.0), "deformed")
+        err = caught.value
+        assert (err.twice_j, err.twice_m, err.q) == (1022, 1022, 2.0)
+        assert math.isnan(err.value)
+        assert str(err) == "energy denominator is NaN at twice_j=1022, twice_m=1022, q=2.0"
+
     @settings(max_examples=150, deadline=None)
     @given(pair=valid_pairs(20), q=st.floats(min_value=0.1, max_value=10.0, allow_nan=False))
     def test_always_positive_for_real_q(self, pair, q):
@@ -309,8 +318,10 @@ class TestUnitsConfig:
         assert u.convert(0.75) == pytest.approx(0.75 * 109737.31568)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            UnitsConfig(rydberg_ev=-1.0)
+        for name in ("rydberg_ev", "rydberg_per_cm"):
+            for bad in (-1.0, 0.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                    UnitsConfig(**{name: bad})
         with pytest.raises(ValueError):
             UnitsConfig(output_unit="joule")
 

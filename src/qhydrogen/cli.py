@@ -141,11 +141,14 @@ def _slot(values: tuple, fmt: str) -> tuple[str, Iterable]:
         return "%d", values
     if types <= {float, NoneType}:
         head = values[:64]
-        # Rows that share float objects (a scan's s and q repeat on every
-        # |m| row) are cheaper to format once per object.
-        if types == {float} and 2 * len(set(map(id, head))) > len(head):
+        if 2 * len(set(map(id, head))) <= len(head):
+            # The rows share float objects (a scan's s and q repeat on
+            # every |m| row), so formatting each object once is cheaper.
+            return "%s", _floats_once(values, fmt)
+        if types == {float}:
             return "%.15g", values
-        return "%s", _floats_once(values, fmt)
+        none = "null" if fmt == "json" else ""
+        return "%s", [none if v is None else f"{v:.15g}" for v in values]
     if types == {str}:
         if fmt == "table" or not any(map(_SPECIAL[fmt], set(values))):
             return ('"%s"' if fmt == "json" else "%s"), values

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Literal, NamedTuple
+from typing import Iterator, Literal, NamedTuple
 
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
 
@@ -165,18 +165,18 @@ def _brackets(
     return table, None
 
 
-def _denominators(twice_j: int, b: list[float]) -> list[tuple[int, float]]:
+def _denominators(twice_j: int, b: list[float]) -> Iterator[tuple[int, float]]:
     """(2|m|, D) at spin j for each |m| ascending, from b[k] = [k/2], k <= 2j+2.
 
     [m-1] for |m| < 1 is taken as -[1-|m|], the odd reflection qnumber
     itself applies to a negative argument.
     """
     bj, bj1 = b[twice_j], b[twice_j + 2]
-    return [
-        (tam,
-         _combine(bj, bj1, b[tam], b[tam + 2], b[tam - 2] if tam >= 2 else -b[2 - tam], tam / 2.0))
-        for tam in range(twice_j % 2, twice_j + 1, 2)
-    ]
+    twice_abs_ms = range(twice_j % 2, twice_j + 1, 2)
+    return zip(twice_abs_ms, [
+        _combine(bj, bj1, b[tam], b[tam + 2], b[tam - 2] if tam >= 2 else -b[2 - tam], tam / 2.0)
+        for tam in twice_abs_ms
+    ])
 
 
 def denominator(j: SpinLabel, twice_m: int, d: DeformationParameter) -> float:

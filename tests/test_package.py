@@ -1,4 +1,4 @@
-"""Package-level contract: the public names, the `python -m qhydrogen` entry point and the README examples."""
+"""Package contract: public names, the `python -m qhydrogen` entry point, README examples."""
 
 import importlib
 import os

@@ -19,9 +19,7 @@ from types import NoneType
 from typing import Any, Iterable, Sequence
 
 import click
-import numpy as np
 
-from .irreps import build_irrep, casimir_identity_report, verify_commutators
 from .lines import ScanRow, series_table, splitting_scan
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel
 from .spectrum import (
@@ -51,6 +49,50 @@ _FRACTION_COLUMNS = {
     "lower_twice_j": "lower_j",
     "lower_twice_abs_m": "lower_|m|",
 }
+
+
+# numpy comes with the irreps layer, which only `verify` and `dump-irrep`
+# use, so they import it when they run (`_load_irreps`) and the table
+# commands start without numpy.  Its names are bound in this namespace
+# and called from it, and module `__getattr__` resolves them before the
+# first load.  Binding keeps a name already set here (a profiler's
+# wrapper), so the commands call whatever the namespace holds.
+_IRREPS_NAMES = ("build_irrep", "verify_commutators", "casimir_identity_report")
+
+
+def _load_irreps() -> None:
+    from . import irreps
+
+    for name in _IRREPS_NAMES:
+        globals().setdefault(name, getattr(irreps, name))
+
+
+def __getattr__(name: str):
+    if name in _IRREPS_NAMES:
+        _load_irreps()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``numpy.linspace(start, stop, num)`` as floats, bit for bit.
+
+    The same float64 operations in numpy's order: ``i*step + start``,
+    or ``i/div*delta + start`` where the step is 0 (a zero range or an
+    underflowing step), then the last point set to ``stop``.  One point
+    is ``0*delta + start``.
+    """
+    delta = stop - start
+    div = num - 1
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
 
 
 class VerificationFailedError(Exception):
@@ -386,7 +428,7 @@ def scan(twice_j, s_values_text, s_min, s_max, s_count, fmt, output) -> None:
         for name, value in (("--s-min", s_min), ("--s-max", s_max)):
             if not math.isfinite(value):
                 raise click.UsageError(f"{name} must be finite, got {value!r}")
-        s_values = [float(v) for v in np.linspace(s_min, s_max, s_count)]
+        s_values = _linspace(s_min, s_max, s_count)
     # The ScanRow fields are the columns, so rows render as they come.
     rows = splitting_scan(SpinLabel(twice_j), s_values)
     columns = ScanRow._fields
@@ -411,6 +453,7 @@ def verify(q, s, twice_j_max, tolerance, fmt, output) -> None:
     if not tolerance > 0.0:
         raise click.UsageError(f"--tolerance must be positive, got {tolerance!r}")
     d = _resolve_deformation(q, s)
+    _load_irreps()
     columns = ["twice_j", "q", "relation", "max_deviation", "tolerance", "passed"]
     rows = []
     failed = 0
@@ -440,6 +483,7 @@ def verify(q, s, twice_j_max, tolerance, fmt, output) -> None:
 def dump_irrep(q, s, twice_j, operator, output) -> None:
     """Dump one generator matrix as JSON ([re, im] pairs, row-major)."""
     d = _resolve_deformation(q, s)
+    _load_irreps()
     r = build_irrep(SpinLabel(twice_j), d)
     matrix = getattr(r, operator)
     entries = ", ".join(

@@ -166,8 +166,9 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
     in Rydberg throughout, matching the scan CSV schema.  Evaluation
     failures flag the row instead of aborting the scan.
 
-    Each s value evaluates the brackets [k/2], k <= 2j+2, once and
-    combines them in the operation order of
+    Each s value evaluates the brackets [k/2], k <= 2j+2, that have the
+    parity of 2j (no other is read at spin j) once each and combines
+    them in the operation order of
     :func:`~qhydrogen.spectrum.denominator`, so every clean row equals
     ``energy(j, twice_abs_m, q)`` bit for bit.  Every row of an s whose
     q = e^s leaves the floating range (q is then None) or whose brackets
@@ -188,7 +189,7 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
             # q = e^s itself leaves the floating range
             rows.extend(ScanRow(s, None, tj, tam, None, None, "overflow") for tam in twice_abs_ms)
             continue
-        b, overflow = _brackets(tj + 2, d)
+        b, overflow = _brackets(tj + 2, d, 2)
         if overflow is not None:
             rows.extend(ScanRow(s, d.q, tj, tam, None, None, "overflow") for tam in twice_abs_ms)
             continue

@@ -148,20 +148,22 @@ def _combine(bj: float, bj1: float, bm: float, bm_up: float, bm_down: float, m: 
 
 
 def _brackets(
-    k_max: int, d: DeformationParameter
+    k_max: int, d: DeformationParameter, stride: int = 1
 ) -> tuple[list[float], QNumberOverflowError | None]:
-    """The brackets [k/2] for k = 0..k_max, and the overflow that cut them short.
+    """The brackets b[k] = [k/2], k <= k_max, and the overflow that cut them short.
 
-    Brackets grow in magnitude with k, so the list stops at the first k
-    whose bracket overflows and that error is returned with it; it is
-    the error a scalar evaluation of the first row needing [k/2] raises.
+    With stride 2 only the k of k_max's parity are evaluated (one spin
+    reads no other) and the other entries are None.  Brackets grow in
+    magnitude with k, so the list stops at the first k whose bracket
+    overflows and that error is returned with it; it is the error a
+    scalar evaluation of the first row needing [k/2] raises.
     """
-    table: list[float] = []
-    for k in range(k_max + 1):
+    table: list = [None] * (k_max + 1)
+    for k in range(k_max % stride, k_max + 1, stride):
         try:
-            table.append(qnumber(k / 2.0, d))
+            table[k] = qnumber(k / 2.0, d)
         except QNumberOverflowError as exc:
-            return table, exc
+            return table[:k], exc
     return table, None
 
 

@@ -6,10 +6,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qhydrogen.cli import _CHUNK_ROWS, _FRACTION_COLUMNS, _half, _render, main
+from qhydrogen.cli import _CHUNK_ROWS, _FRACTION_COLUMNS, _half, _linspace, _render, main
 from qhydrogen.qnum import DeformationParameter, SpinLabel
 from qhydrogen.spectrum import energy, level_table
 
@@ -229,6 +230,53 @@ class TestScanCommand:
         assert code == 1
         assert out == ""
         assert f"{option} must be finite" in err
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _grid_ends(draw):
+    """(start, stop) pairs: any two finite floats, equal, negated, a few ulp
+    apart, or a few subnormal spacings apart (where numpy's step underflows)."""
+    kind = draw(st.sampled_from(["any", "equal", "negated", "ulps", "subnormal"]))
+    if kind == "subnormal":
+        tiny = st.integers(-6, 6).map(lambda k: k * 5e-324)
+        return draw(tiny), draw(tiny)
+    start = draw(_FINITE)
+    if kind == "any":
+        return start, draw(_FINITE)
+    if kind == "equal":
+        return start, start
+    if kind == "negated":
+        return start, -start
+    stop = start
+    toward = draw(st.sampled_from([math.inf, -math.inf]))
+    for _ in range(draw(st.integers(1, 4))):
+        stop = math.nextafter(stop, toward)
+    return (stop, start) if draw(st.booleans()) else (start, stop)
+
+
+class TestLinspace:
+    """The scan grid is numpy.linspace's, bit for bit, without numpy."""
+
+    @given(_grid_ends(), st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 200)))
+    @example((0.0, 0.2), 3)
+    @example((0.0, 5e-324), 3)  # the step underflows to 0
+    @example((-5e-324, 5e-324), 7)
+    @example((1.5, 1.5), 4)
+    @example((-0.0, 0.0), 1)
+    @example((0.0, -0.0), 4)
+    @example((-0.0, -0.0), 2)
+    @example((-1e308, 1e308), 5)  # stop - start overflows
+    @example((1e308, -1e308), 1)
+    @example((-1.7976931348623157e308, 1.7976931348623157e308), 2)
+    @settings(max_examples=500)
+    def test_matches_numpy(self, ends, num):
+        start, stop = ends
+        with np.errstate(all="ignore"):
+            expected = [float(v).hex() for v in np.linspace(start, stop, num)]
+        assert [v.hex() for v in _linspace(start, stop, num)] == expected
 
 
 class TestVerifyCommand:

@@ -14,7 +14,7 @@ from qhydrogen.lines import (
     splitting_scan,
     transition,
 )
-from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel
+from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
 from qhydrogen.spectrum import (
     NonPositiveDenominatorError,
     UnitsConfig,
@@ -263,3 +263,21 @@ class TestSplittingScan:
             ] == expected
             flags.update(r.flag for r in rows)
         assert flags == {"", "overflow", "nonpositive_denominator"}
+
+    @pytest.mark.parametrize("tj", [0, 1, 2, 7, 10])
+    def test_one_bracket_parity_per_point(self, monkeypatch, tj):
+        # A spin reads only the brackets [k/2] with k of the parity of 2j,
+        # k <= 2j+2, so one scan point evaluates each of those once.
+        import qhydrogen.spectrum
+
+        seen = []
+
+        def recorded(x, d):
+            seen.append(x)
+            return qnumber(x, d)
+
+        monkeypatch.setattr(qhydrogen.spectrum, "qnumber", recorded)
+        rows = splitting_scan(SpinLabel(tj), [0.37])
+        assert len(seen) == (tj + 2 - tj % 2) // 2 + 1
+        assert sorted(seen) == [k / 2.0 for k in range(tj % 2, tj + 3, 2)]
+        assert all(r.flag == "" for r in rows)

@@ -428,6 +428,10 @@ def scan(twice_j, s_values_text, s_min, s_max, s_count, fmt, output) -> None:
         for name, value in (("--s-min", s_min), ("--s-max", s_max)):
             if not math.isfinite(value):
                 raise click.UsageError(f"{name} must be finite, got {value!r}")
+        if not math.isfinite(s_max - s_min):
+            # The grid would hold inf - inf and 0 * inf points (nan).
+            raise click.UsageError(f"--s-min {s_min!r} and --s-max {s_max!r} are too far "
+                                   f"apart: their difference overflows")
         s_values = _linspace(s_min, s_max, s_count)
     # The ScanRow fields are the columns, so rows render as they come.
     rows = splitting_scan(SpinLabel(twice_j), s_values)

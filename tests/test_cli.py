@@ -231,6 +231,14 @@ class TestScanCommand:
         assert out == ""
         assert f"{option} must be finite" in err
 
+    @pytest.mark.parametrize("count", ["1", "3"])
+    def test_overflowing_grid_range_is_validation_error(self, capsys, count):
+        code, out, err = run_cli(capsys, "scan", "--j", "1", "--s-min", "-1e308",
+                                 "--s-max", "1e308", "--s-count", count)
+        assert code == 1
+        assert out == ""
+        assert "their difference overflows" in err
+
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 

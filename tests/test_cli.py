@@ -100,6 +100,13 @@ class TestGoldenFiles:
             # rounding residue of every relation up to 2j = 40, digit for digit
             ("verify_q1.3_jmax40.json",
              ("verify", "--q", "1.3", "--j-max", "40", "--format", "json")),
+            # energies converted to eV at output
+            ("levels_q1.3_jmax6_ev.txt",
+             ("levels", "--q", "1.3", "--j-max", "6", "--units", "ev", "--format", "table")),
+            # line energies converted to 1/cm at output
+            ("lines_q0.7_lower1_1_wavenumber.json",
+             ("lines", "--q", "0.7", "--j-max", "6", "--lower-j", "1", "--lower-m", "1",
+              "--units", "wavenumber", "--format", "json")),
         ],
     )
     def test_emitter_bytes(self, capsys, golden, args):

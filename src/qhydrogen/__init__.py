@@ -23,7 +23,8 @@ from .spectrum import (
     EnergyLevel,
     NonPositiveDenominatorError,
     QuantumState,
-    UnitsConfig,
+    RYDBERG_EV,
+    RYDBERG_PER_CM,
     degeneracy_summary,
     denominator,
     energy,
@@ -61,10 +62,11 @@ __all__ = [
     "NonPositiveDenominatorError",
     "QNumberOverflowError",
     "QuantumState",
+    "RYDBERG_EV",
+    "RYDBERG_PER_CM",
     "ScanRow",
     "SpinLabel",
     "TransitionLine",
-    "UnitsConfig",
     "VerificationReport",
     "build_irrep",
     "casimir_identity_report",

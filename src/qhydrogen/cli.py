@@ -23,18 +23,21 @@ import click
 from .lines import ScanRow, series_table, splitting_scan
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel
 from .spectrum import (
+    RYDBERG_EV,
+    RYDBERG_PER_CM,
     NonPositiveDenominatorError,
-    UnitsConfig,
     enumerate_states,
     level_table,
 )
 
 __all__ = ["cli", "main"]
 
+# Each --units choice: the text of the unit column and the factor from
+# Rydberg.  The library works in Rydberg; output is converted here only.
 _UNIT_FLAGS = {
-    "rydberg": "rydberg",
-    "ev": "ev",
-    "wavenumber": "wavenumber_per_cm",
+    "rydberg": ("rydberg", 1.0),
+    "ev": ("ev", RYDBERG_EV),
+    "wavenumber": ("wavenumber_per_cm", RYDBERG_PER_CM),
 }
 
 # Column renames applied in table format; twice-integer columns are
@@ -335,16 +338,16 @@ def cli() -> None:
 def levels(q, s, twice_j_max, mode, units, fmt, output) -> None:
     """Bound-level table for all spins up to --j-max."""
     d = _resolve_deformation(q, s)
-    u = UnitsConfig(output_unit=_UNIT_FLAGS[units])
+    unit, factor = _UNIT_FLAGS[units]
     table = level_table(SpinLabel(twice_j_max), d, mode)
     columns = ["twice_j", "twice_abs_m", "n", "energy", "unit", "multiplicity"]
     rows = [
-        (lv.j.twice_j, lv.twice_abs_m, lv.principal_n, u.convert(lv.energy_ry),
-         u.output_unit, lv.multiplicity)
+        (lv.j.twice_j, lv.twice_abs_m, lv.principal_n, lv.energy_ry * factor, unit,
+         lv.multiplicity)
         for lv in table
     ]
     config = {"command": "levels", "q": d.q, "s": d.s, "twice_j_max": twice_j_max,
-              "mode": mode, "units": u.output_unit}
+              "mode": mode, "units": unit}
     _write(_render(fmt, config, columns, rows), output)
 
 
@@ -378,22 +381,22 @@ def states(twice_j, mode, fmt, output) -> None:
 def lines(q, s, twice_j_max, lower_twice_j, lower_twice_abs_m, units, fmt, output) -> None:
     """Series of lines from all levels above a lower level down to it."""
     d = _resolve_deformation(q, s)
-    u = UnitsConfig(output_unit=_UNIT_FLAGS[units])
+    unit, factor = _UNIT_FLAGS[units]
     try:
         table = series_table(SpinLabel(lower_twice_j), lower_twice_abs_m,
-                             SpinLabel(twice_j_max), d, u)
+                             SpinLabel(twice_j_max), d)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
     columns = ["upper_twice_j", "upper_twice_abs_m", "lower_twice_j", "lower_twice_abs_m",
                "delta_energy", "unit", "wavenumber_per_cm", "wavelength_nm"]
     rows = [
         (line.upper[0].twice_j, line.upper[1], line.lower[0].twice_j, line.lower[1],
-         line.delta_energy, u.output_unit, line.wavenumber_per_cm, line.wavelength_nm)
+         line.delta_energy * factor, unit, line.wavenumber_per_cm, line.wavelength_nm)
         for line in table
     ]
     config = {"command": "lines", "q": d.q, "s": d.s, "twice_j_max": twice_j_max,
               "lower_twice_j": lower_twice_j, "lower_twice_abs_m": lower_twice_abs_m,
-              "units": u.output_unit}
+              "units": unit}
     _write(_render(fmt, config, columns, rows), output)
 
 
@@ -454,8 +457,9 @@ def verify(q, s, twice_j_max, tolerance, fmt, output) -> None:
     Exits with status 2 if any relation exceeds the tolerance, so this
     command can gate CI.
     """
-    if not tolerance > 0.0:
-        raise click.UsageError(f"--tolerance must be positive, got {tolerance!r}")
+    if not (tolerance > 0.0 and math.isfinite(tolerance)):
+        # An infinite tolerance would pass every relation.
+        raise click.UsageError(f"--tolerance must be finite and positive, got {tolerance!r}")
     d = _resolve_deformation(q, s)
     _load_irreps()
     columns = ["twice_j", "q", "relation", "max_deviation", "tolerance", "passed"]

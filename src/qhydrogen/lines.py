@@ -3,8 +3,9 @@
 Levels compute energies; lines are their observable differences.  No
 selection rules are applied anywhere here: the deformed theory comes
 with no transition operator, so every level pair is emitted and callers
-filter.  Wavenumbers use the configured Rydberg constant in 1/cm and
-wavelengths the identity wavelength_nm * wavenumber_per_cm = 1e7.
+filter.  Energies are in Rydberg; wavenumbers use the Rydberg constant
+:data:`~qhydrogen.spectrum.RYDBERG_PER_CM` and wavelengths the identity
+wavelength_nm * wavenumber_per_cm = 1e7.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 from .qnum import DeformationParameter, SpinLabel
 from .spectrum import (
-    UnitsConfig,
+    RYDBERG_PER_CM,
     _brackets,
     _check_weight,
     _denominators,
@@ -51,9 +52,9 @@ class DegenerateTransitionError(ValueError):
 class TransitionLine(NamedTuple):
     """One spectral line between two (j, |m|) levels, an immutable named tuple.
 
-    ``delta_energy`` is in the output unit of the UnitsConfig used to
-    build the line; ``wavenumber_per_cm`` and ``wavelength_nm`` are
-    always present and satisfy wavelength * wavenumber = 1e7.
+    ``delta_energy`` is in Rydberg; ``wavenumber_per_cm`` is it times
+    :data:`~qhydrogen.spectrum.RYDBERG_PER_CM`, and ``wavelength_nm``
+    satisfies wavelength * wavenumber = 1e7.
     """
 
     upper: LevelKey
@@ -91,20 +92,13 @@ def _check_level(key: LevelKey) -> None:
         raise ValueError(f"twice_abs_m must be >= 0, got {twice_abs_m}")
 
 
-def _line(
-    upper: LevelKey, e_upper: float, lower: LevelKey, e_lower: float, units: UnitsConfig
-) -> TransitionLine:
+def _line(upper: LevelKey, e_upper: float, lower: LevelKey, e_lower: float) -> TransitionLine:
     delta_ry = e_upper - e_lower
-    wavenumber = delta_ry * units.rydberg_per_cm
-    return TransitionLine(upper, lower, units.convert(delta_ry), wavenumber, 1e7 / wavenumber)
+    wavenumber = delta_ry * RYDBERG_PER_CM
+    return TransitionLine(upper, lower, delta_ry, wavenumber, 1e7 / wavenumber)
 
 
-def transition(
-    upper: LevelKey,
-    lower: LevelKey,
-    d: DeformationParameter,
-    units: UnitsConfig | None = None,
-) -> TransitionLine:
+def transition(upper: LevelKey, lower: LevelKey, d: DeformationParameter) -> TransitionLine:
     """Line between two levels, ordered internally by energy.
 
     The arguments need not be ordered; the returned ``upper`` is the
@@ -121,15 +115,11 @@ def transition(
     if e_first < e_second:
         upper, lower = lower, upper
         e_first, e_second = e_second, e_first
-    return _line(upper, e_first, lower, e_second, units or UnitsConfig())
+    return _line(upper, e_first, lower, e_second)
 
 
 def series_table(
-    lower_j: SpinLabel,
-    lower_twice_abs_m: int,
-    j_max: SpinLabel,
-    d: DeformationParameter,
-    units: UnitsConfig | None = None,
+    lower_j: SpinLabel, lower_twice_abs_m: int, j_max: SpinLabel, d: DeformationParameter
 ) -> list[TransitionLine]:
     """All lines from levels above the given lower level down to it.
 
@@ -138,15 +128,14 @@ def series_table(
     level.  Exactly coincident candidates (the m-split sublevels merge
     at q = 1) produce a single line labelled by the first of them in
     the table's tie order, i.e. the smallest (j, |m|).  Sorted by
-    ascending transition energy; empty if nothing lies above.  A
-    negative lower |m| raises ValueError.
+    ascending transition energy, in Rydberg like every energy here;
+    empty if nothing lies above.  A negative lower |m| raises ValueError.
     """
     if j_max < lower_j:
         raise ValueError(
             f"j_max (twice_j={j_max.twice_j}) must be >= lower level spin "
             f"(twice_j={lower_j.twice_j})"
         )
-    units = units or UnitsConfig()
     lower = (lower_j, lower_twice_abs_m)
     _check_level(lower)
     e_lower = energy(lower_j, lower_twice_abs_m, d)
@@ -154,7 +143,7 @@ def series_table(
     e_last = e_lower
     for lv in level_table(j_max, d, "deformed"):
         if lv.energy_ry > e_last:
-            lines.append(_line((lv.j, lv.twice_abs_m), lv.energy_ry, lower, e_lower, units))
+            lines.append(_line((lv.j, lv.twice_abs_m), lv.energy_ry, lower, e_lower))
             e_last = lv.energy_ry
     return lines
 

@@ -14,8 +14,11 @@ for |m| != 0 (signs of m and p) and 1 for m = 0.
 
 The energy depends on p not at all and on m only through even
 functions, so levels are keyed by (j, |m|) exactly, never by comparing
-floating energies.  All operations are pure; tables for disjoint j
-ranges can be computed in parallel and concatenated.
+floating energies.  All operations are pure.
+
+Every energy here and in :mod:`qhydrogen.lines` is in Rydberg.
+:data:`RYDBERG_EV` and :data:`RYDBERG_PER_CM` (infinite nuclear mass)
+convert it; the CLI applies them to its output only.
 """
 
 from __future__ import annotations
@@ -31,12 +34,18 @@ Mode = Literal["deformed", "undeformed"]
 
 _MODES = ("deformed", "undeformed")
 
+# The Rydberg energy in eV and the Rydberg constant in 1/cm, both for
+# infinite nuclear mass.
+RYDBERG_EV = 13.605693122994
+RYDBERG_PER_CM = 109737.31568
+
 __all__ = [
     "EnergyLevel",
     "Mode",
     "NonPositiveDenominatorError",
     "QuantumState",
-    "UnitsConfig",
+    "RYDBERG_EV",
+    "RYDBERG_PER_CM",
     "degeneracy_summary",
     "denominator",
     "energy",
@@ -96,36 +105,6 @@ class EnergyLevel(NamedTuple):
     energy_ry: float
     multiplicity: int
     principal_n: int
-
-
-@dataclass(frozen=True)
-class UnitsConfig:
-    """Energy-unit configuration; every internal energy is in Rydberg.
-
-    ``rydberg_ev`` and ``rydberg_per_cm`` are the Rydberg energy in eV
-    and the Rydberg constant in 1/cm (infinite nuclear mass by default;
-    swap in the reduced-mass value if preferred).
-    """
-
-    rydberg_ev: float = 13.605693122994
-    rydberg_per_cm: float = 109737.31568
-    output_unit: Literal["rydberg", "ev", "wavenumber_per_cm"] = "rydberg"
-
-    def __post_init__(self) -> None:
-        for name in ("rydberg_ev", "rydberg_per_cm"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if self.output_unit not in ("rydberg", "ev", "wavenumber_per_cm"):
-            raise ValueError(f"unknown output unit {self.output_unit!r}")
-
-    def convert(self, energy_ry: float) -> float:
-        """Convert an energy from Rydberg to the configured output unit."""
-        if self.output_unit == "ev":
-            return energy_ry * self.rydberg_ev
-        if self.output_unit == "wavenumber_per_cm":
-            return energy_ry * self.rydberg_per_cm
-        return energy_ry
 
 
 def _check_weight(j: SpinLabel, value: int, name: str) -> None:

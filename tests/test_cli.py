@@ -312,8 +312,11 @@ class TestVerifyCommand:
         assert any(r["passed"] == "false" for r in rows)
 
     def test_bad_tolerance_is_validation_error(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "--tolerance", "-1")
-        assert code == 1
+        # an infinite tolerance would pass every relation
+        for bad in ("-1", "0", "inf", "nan"):
+            code, _, err = run_cli(capsys, "verify", "--tolerance", bad)
+            assert code == 1
+            assert "--tolerance must be finite and positive" in err
 
 
 class TestDumpIrrep:

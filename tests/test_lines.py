@@ -16,8 +16,8 @@ from qhydrogen.lines import (
 )
 from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
 from qhydrogen.spectrum import (
+    RYDBERG_PER_CM,
     NonPositiveDenominatorError,
-    UnitsConfig,
     energy,
     energy_undeformed,
 )
@@ -90,10 +90,15 @@ class TestTransition:
             assert abs(product - 1e7) <= 1e-10 * 1e7
 
     def test_unit_conversion(self):
-        u = UnitsConfig(output_unit="ev")
-        line = transition((SpinLabel(1), 1), (SpinLabel(0), 0), DeformationParameter(1.0), u)
-        assert line.delta_energy == pytest.approx(0.75 * 13.605693122994, rel=1e-14)
-        assert line.wavenumber_per_cm == pytest.approx(0.75 * 109737.31568, rel=1e-14)
+        # delta_energy is in Rydberg; only the wavenumber is converted
+        line = transition((SpinLabel(1), 1), (SpinLabel(0), 0), DeformationParameter(1.0))
+        assert line.delta_energy == 0.75
+        assert line.wavenumber_per_cm == 0.75 * RYDBERG_PER_CM
+        d = DeformationParameter(1.3)
+        line = transition((SpinLabel(0), 0), (SpinLabel(3), 1), d)
+        delta = energy(SpinLabel(3), 1, d) - energy(SpinLabel(0), 0, d)
+        assert line.delta_energy == delta
+        assert line.wavenumber_per_cm == delta * RYDBERG_PER_CM
 
     def test_lyman_alpha_wavelength_physical(self):
         line = transition((SpinLabel(1), 1), (SpinLabel(0), 0), DeformationParameter(1.0))
@@ -141,14 +146,12 @@ class TestSeriesTable:
 
     @pytest.mark.parametrize("q", [1.0, 0.6, 1.7])
     @pytest.mark.parametrize("lower", [(0, 0), (1, 1)])
-    @pytest.mark.parametrize("unit", ["rydberg", "ev", "wavenumber_per_cm"])
-    def test_lines_equal_transition(self, q, lower, unit):
+    def test_lines_equal_transition(self, q, lower):
         d = DeformationParameter(q)
-        units = UnitsConfig(output_unit=unit)
-        table = series_table(SpinLabel(lower[0]), lower[1], SpinLabel(8), d, units)
+        table = series_table(SpinLabel(lower[0]), lower[1], SpinLabel(8), d)
         assert table
         for line in table:
-            assert line == transition(line.upper, line.lower, d, units)
+            assert line == transition(line.upper, line.lower, d)
 
     def test_q_one_reproduces_rydberg_differences(self):
         # Lyman analog: lower n = 1

@@ -11,7 +11,6 @@ from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel
 from qhydrogen.spectrum import (
     EnergyLevel,
     NonPositiveDenominatorError,
-    UnitsConfig,
     degeneracy_summary,
     denominator,
     energy,
@@ -301,29 +300,6 @@ class TestDegeneracySummary:
             levels, states = degeneracy_summary(SpinLabel(2 * j))
             assert levels == j + 1
             assert states == 4 * j + 1
-
-
-class TestUnitsConfig:
-    def test_defaults(self):
-        u = UnitsConfig()
-        assert u.output_unit == "rydberg"
-        assert u.convert(-0.25) == -0.25
-
-    def test_ev_conversion(self):
-        u = UnitsConfig(output_unit="ev")
-        assert u.convert(1.0) == pytest.approx(13.605693122994)
-
-    def test_wavenumber_conversion(self):
-        u = UnitsConfig(output_unit="wavenumber_per_cm")
-        assert u.convert(0.75) == pytest.approx(0.75 * 109737.31568)
-
-    def test_validation(self):
-        for name in ("rydberg_ev", "rydberg_per_cm"):
-            for bad in (-1.0, 0.0, math.inf, math.nan):
-                with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-                    UnitsConfig(**{name: bad})
-        with pytest.raises(ValueError):
-            UnitsConfig(output_unit="joule")
 
 
 class TestQuantumStateValidation:

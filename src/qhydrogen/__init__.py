@@ -6,11 +6,10 @@ energies E/Ry = -2/D with D = 8[j][j+1] - 4[m]([m+1]+[m-1]) + 8m^2 + 2,
 including the partial degeneracy breaking (one sublevel per |m|, with
 multiplicity 4 or 1) and the resulting line splittings.
 
-The spectrum needs only the scalar brackets.  numpy is loaded with the
-irreps layer alone: on first access to one of its names here
-(``build_irrep``, ``verify_commutators``, ...) or by the ``verify`` and
-``dump-irrep`` commands, so importing the package and running the table
-commands never imports it.
+numpy is imported only by the dense helpers of the irreps layer (the
+``iz``, ``iplus`` and ``iminus`` matrices of an irrep, which the
+``dump-irrep`` command prints, and ``verify_so4_limit``): importing the
+package and running the other commands never imports it.
 """
 
 from .qnum import (
@@ -40,19 +39,16 @@ from .lines import (
     splitting_scan,
     transition,
 )
+from .irreps import (
+    IrrepMatrices,
+    VerificationReport,
+    build_irrep,
+    casimir_identity_report,
+    verify_commutators,
+    verify_so4_limit,
+)
 
 __version__ = "0.1.0"
-
-# Resolved from .irreps on first access (PEP 562), which imports numpy.
-_IRREPS_NAMES = frozenset({
-    "IrrepMatrices",
-    "VerificationReport",
-    "build_irrep",
-    "casimir_identity_report",
-    "casimir_symmetrized",
-    "verify_commutators",
-    "verify_so4_limit",
-})
 
 __all__ = [
     "DeformationParameter",
@@ -70,7 +66,6 @@ __all__ = [
     "VerificationReport",
     "build_irrep",
     "casimir_identity_report",
-    "casimir_symmetrized",
     "degeneracy_summary",
     "denominator",
     "energy",
@@ -85,15 +80,3 @@ __all__ = [
     "verify_so4_limit",
 ]
 
-
-def __getattr__(name: str):
-    if name in _IRREPS_NAMES:
-        from . import irreps
-
-        # Cached here; setdefault keeps a name that was bound meanwhile.
-        return globals().setdefault(name, getattr(irreps, name))
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(globals().keys() | _IRREPS_NAMES)

@@ -20,6 +20,7 @@ from typing import Any, Iterable, Sequence
 
 import click
 
+from .irreps import build_irrep, casimir_identity_report, verify_commutators
 from .lines import ScanRow, series_table, splitting_scan
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel
 from .spectrum import (
@@ -52,29 +53,6 @@ _FRACTION_COLUMNS = {
     "lower_twice_j": "lower_j",
     "lower_twice_abs_m": "lower_|m|",
 }
-
-
-# numpy comes with the irreps layer, which only `verify` and `dump-irrep`
-# use, so they import it when they run (`_load_irreps`) and the table
-# commands start without numpy.  Its names are bound in this namespace
-# and called from it, and module `__getattr__` resolves them before the
-# first load.  Binding keeps a name already set here (a profiler's
-# wrapper), so the commands call whatever the namespace holds.
-_IRREPS_NAMES = ("build_irrep", "verify_commutators", "casimir_identity_report")
-
-
-def _load_irreps() -> None:
-    from . import irreps
-
-    for name in _IRREPS_NAMES:
-        globals().setdefault(name, getattr(irreps, name))
-
-
-def __getattr__(name: str):
-    if name in _IRREPS_NAMES:
-        _load_irreps()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -278,9 +256,12 @@ def _render(fmt: str, config: dict[str, Any], columns: Sequence[str], rows: Sequ
 def _write(document: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(document)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as handle:
             handle.write(document)
+    except OSError as exc:
+        raise click.FileError(output, hint=exc.strerror) from None
 
 
 def _resolve_deformation(q: float | None, s: float | None) -> DeformationParameter:
@@ -461,7 +442,6 @@ def verify(q, s, twice_j_max, tolerance, fmt, output) -> None:
         # An infinite tolerance would pass every relation.
         raise click.UsageError(f"--tolerance must be finite and positive, got {tolerance!r}")
     d = _resolve_deformation(q, s)
-    _load_irreps()
     columns = ["twice_j", "q", "relation", "max_deviation", "tolerance", "passed"]
     rows = []
     failed = 0
@@ -491,7 +471,6 @@ def verify(q, s, twice_j_max, tolerance, fmt, output) -> None:
 def dump_irrep(q, s, twice_j, operator, output) -> None:
     """Dump one generator matrix as JSON ([re, im] pairs, row-major)."""
     d = _resolve_deformation(q, s)
-    _load_irreps()
     r = build_irrep(SpinLabel(twice_j), d)
     matrix = getattr(r, operator)
     entries = ", ".join(

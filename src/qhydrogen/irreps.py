@@ -15,37 +15,41 @@ where [2 Iz] is the diagonal bracket of the doubled weight, entrywise
 [2m].  (The shorthand "2[Iz]" seen for this relation coincides with
 [2 Iz] only at q = 1; the ladder action above fixes the [2m] form, see
 docs/derivations.md.)  Verification helpers check these relations and
-the two quadratic invariants numerically, and the q = 1 tensor-product
+the standard Casimir numerically, and the q = 1 tensor-product
 recombination into the rotation/Runge-Lenz pattern.
 
-An irrep stores only the I+ weights sqrt([j+m+1][j-m]): Iz is diagonal
+An irrep stores, as tuples of floats, the integer brackets of its spin
+and the I+ weights sqrt([j+m+1][j-m]) built from them.  Iz is diagonal
 and I+- each have one off-diagonal, so every relation checked here has
-nonzeros on three diagonals at most, and the checks run on those
-diagonals in O(2j + 1).  The dense complex matrices are built on first
-read for the dense helpers.  Weights and matrices are marked read-only,
-so built values can be shared freely across threads.
+nonzeros on one diagonal, and the checks run on it in plain float
+arithmetic, O(2j + 1), reading the brackets the irrep holds instead of
+evaluating them again.  numpy is imported only by the dense helpers:
+the complex matrices ``iz``, ``iplus`` and ``iminus``, built on first
+read and marked read-only, and :func:`verify_so4_limit`.  Built values
+can be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
-from numpy.typing import NDArray
+from operator import add, mul, sub
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
 
-ComplexMatrix = NDArray[np.complex128]
-FloatVector = NDArray[np.float64]
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
+
+    ComplexMatrix = NDArray[np.complex128]
 
 __all__ = [
-    "ComplexMatrix",
     "IrrepMatrices",
     "VerificationReport",
     "build_irrep",
     "casimir_identity_report",
-    "casimir_symmetrized",
     "verify_commutators",
     "verify_so4_limit",
 ]
@@ -55,15 +59,20 @@ __all__ = [
 class IrrepMatrices:
     """Generators on one spin-j module, basis ordered by descending m.
 
-    ``ladder`` holds the I+ weights u_k = sqrt([j+m+1][j-m]), k = 1..2j,
-    where column k carries |m> and row k-1 carries |m+1>; it is all that
-    the module stores.  The dense matrices ``iz``, ``iplus`` and
-    ``iminus`` are built from it the first time they are read.
+    ``brackets`` holds the integer brackets [k], k = 0..2j (and [1] at
+    j = 0, for the Casimir eigenvalue [0][1]), each evaluated once.
+    ``ladder`` holds the I+ weights u_k = sqrt([j+m+1][j-m]) =
+    sqrt([2j+1-k][k]), k = 1..2j, where column k carries |m> and row
+    k-1 carries |m+1>.  Both are tuples of floats and are all that the
+    module stores; the dense complex matrices ``iz``, ``iplus`` and
+    ``iminus`` are built from the ladder the first time they are read,
+    which imports numpy.
     """
 
     j: SpinLabel
     d: DeformationParameter
-    ladder: FloatVector
+    ladder: tuple[float, ...]
+    brackets: tuple[float, ...]
 
     @property
     def dim(self) -> int:
@@ -71,12 +80,16 @@ class IrrepMatrices:
 
     @cached_property
     def iz(self) -> ComplexMatrix:
+        import numpy as np
+
         iz = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        np.fill_diagonal(iz, _weights(self.j))
+        np.fill_diagonal(iz, [tm / 2.0 for tm in self.j.twice_m_values()])
         return _read_only(iz)
 
     @cached_property
     def iplus(self) -> ComplexMatrix:
+        import numpy as np
+
         k = np.arange(1, self.dim)
         iplus = np.zeros((self.dim, self.dim), dtype=np.complex128)
         iplus[k - 1, k] = self.ladder
@@ -104,30 +117,27 @@ class VerificationReport:
     passed: bool
 
 
-def _max_abs(a: NDArray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def _report(name: str, lhs: NDArray, rhs: NDArray, tol: float) -> VerificationReport:
-    scale = max(1.0, _max_abs(lhs), _max_abs(rhs))
-    deviation = _max_abs(lhs - rhs) / scale
+def _verdict(
+    name: str, lhs_max: float, rhs_max: float, residual_max: float, tol: float
+) -> VerificationReport:
+    deviation = residual_max / max(1.0, lhs_max, rhs_max)
     return VerificationReport(name, deviation, float(tol), deviation <= float(tol))
 
 
+def _max_abs(values: Iterable[float]) -> float:
+    return max(map(abs, values), default=0.0)
+
+
 def _band_report(
-    r: IrrepMatrices, name: str, lhs: FloatVector, rhs: FloatVector, tol: float
+    r: IrrepMatrices, name: str, lhs: Sequence[float], rhs: Sequence[float], tol: float
 ) -> VerificationReport:
     """Report on the nonzero band of a relation, refusing entries beyond a double."""
-    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+    if not (all(map(math.isfinite, lhs)) and all(map(math.isfinite, rhs))):
         raise QNumberOverflowError(
             f"{name} has an entry beyond double precision at "
             f"twice_j={r.j.twice_j}, s={r.d.s!r}"
         )
-    return _report(name, lhs, rhs, tol)
-
-
-def _commutator(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    return a @ b - b @ a
+    return _verdict(name, _max_abs(lhs), _max_abs(rhs), _max_abs(map(sub, lhs, rhs)), tol)
 
 
 def _read_only(a: NDArray) -> NDArray:
@@ -135,17 +145,10 @@ def _read_only(a: NDArray) -> NDArray:
     return a
 
 
-def _weights(j: SpinLabel) -> FloatVector:
-    """The weights m of the basis, descending."""
-    return np.array(j.twice_m_values(), dtype=np.float64) / 2.0
-
-
-def _ladder_squares(r: IrrepMatrices) -> FloatVector:
+def _ladder_squares(r: IrrepMatrices) -> list[float]:
     """u_k^2 with a zero on either end: the diagonals of I- I+ (drop the
     last entry) and of I+ I- (drop the first)."""
-    squares = np.zeros(r.dim + 1)
-    squares[1:-1] = r.ladder * r.ladder
-    return squares
+    return [0.0, *map(mul, r.ladder, r.ladder), 0.0]
 
 
 def build_irrep(j: SpinLabel, d: DeformationParameter) -> IrrepMatrices:
@@ -153,26 +156,28 @@ def build_irrep(j: SpinLabel, d: DeformationParameter) -> IrrepMatrices:
 
     The raising weight between |m> and |m+1> is sqrt([j+m+1][j-m]).  Down
     the basis [j+m+1] runs through [2j]..[1] and [j-m] through the same
-    brackets in reverse, so each integer bracket is evaluated once; the
-    radicand is asserted non-negative (guaranteed for real q > 0) rather
-    than clamped.  Where the product of the two brackets overflows
-    although its root is representable, the root is taken factor by
-    factor.
+    brackets in reverse, so each integer bracket is evaluated once,
+    [2j] first, and kept on the irrep for the checks; the radicand is
+    asserted non-negative (guaranteed for real q > 0) rather than
+    clamped.  Where the product of the two brackets overflows although
+    its root is representable, the root is taken factor by factor.
     """
     tj = j.twice_j
-    # Column k = 1..2j holds |m>, row k-1 holds |m+1>: [j+m+1] = [2j+1-k]
-    # is entry k-1 of [2j]..[1], and [j-m] = [k] that of its mirror.
-    brackets = np.array([qnumber(k, d) for k in range(tj, 0, -1)], dtype=np.float64)
-    mirror = brackets[::-1]
-    with np.errstate(over="ignore"):
-        radicand = brackets * mirror
-        assert (radicand >= 0.0).all(), (
-            f"negative ladder radicand {radicand.min()!r} at twice_j={tj}"
+    # b[k] = [k]; descending, so an overflow names [2j], the largest.
+    b = (0.0, *reversed([qnumber(k, d) for k in range(max(tj, 1), 0, -1)]))
+    # Column k = 1..2j holds |m>, row k-1 holds |m+1>: [j+m+1] = [2j+1-k].
+    upper, lower = b[tj:0:-1], b[1:tj + 1]
+    radicands = list(map(mul, upper, lower))
+    assert min(radicands, default=0.0) >= 0.0, (
+        f"negative ladder radicand {min(radicands)!r} at twice_j={tj}"
+    )
+    ladder = tuple(map(math.sqrt, radicands))
+    if math.inf in ladder:
+        ladder = tuple(
+            math.sqrt(x) * math.sqrt(y) if u == math.inf else u
+            for u, x, y in zip(ladder, upper, lower)
         )
-        ladder = np.where(
-            np.isinf(radicand), np.sqrt(brackets) * np.sqrt(mirror), np.sqrt(radicand)
-        )
-    return IrrepMatrices(j=j, d=d, ladder=_read_only(ladder))
+    return IrrepMatrices(j=j, d=d, ladder=ladder, brackets=b)
 
 
 def verify_commutators(r: IrrepMatrices, tol: float) -> list[VerificationReport]:
@@ -180,37 +185,25 @@ def verify_commutators(r: IrrepMatrices, tol: float) -> list[VerificationReport]
 
     Relations: [Iz, I+] = +I+, [Iz, I-] = -I-, and [I+, I-] = [2 Iz]
     with the right side the entrywise bracket of the doubled diagonal
-    of Iz (the value [2m] at weight m).  Each side has nonzeros on one
-    diagonal only, and the entries there are the ones the dense matrix
-    products give, bit for bit (docs/derivations.md, sections 2-3).
-    Raises :class:`QNumberOverflowError` if an entry is not finite.
+    of Iz (the value [2m] at weight m, read from the irrep's brackets).
+    Each side has nonzeros on one diagonal only, and the entries there
+    are the ones the dense matrix products give, bit for bit
+    (docs/derivations.md, sections 2-3).  Raises
+    :class:`QNumberOverflowError` if an entry is not finite.
     """
-    doubled = np.array([qnumber(tm, r.d) for tm in r.j.twice_m_values()], dtype=np.float64)
-    m, u = _weights(r.j), r.ladder
-    # Entries beyond a double are refused by _band_report, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = _ladder_squares(r)
-        raised = m[:-1] * u - u * m[1:]  # [Iz, I+], superdiagonal
-        lowered = m[1:] * u - u * m[:-1]  # [Iz, I-], subdiagonal
-        closed = squares[1:] - squares[:-1]  # [I+, I-], diagonal
+    b, u = r.brackets, r.ladder
+    twice_ms = r.j.twice_m_values()
+    doubled = [b[tm] if tm >= 0 else -b[-tm] for tm in twice_ms]
+    m = [tm / 2.0 for tm in twice_ms]
+    squares = _ladder_squares(r)
+    raised = list(map(sub, map(mul, m, u), map(mul, u, m[1:])))  # [Iz, I+], superdiagonal
+    lowered = list(map(sub, map(mul, m[1:], u), map(mul, u, m)))  # [Iz, I-], subdiagonal
+    closed = list(map(sub, squares[1:], squares))  # [I+, I-], diagonal
     return [
         _band_report(r, "[Iz,I+] = +I+", raised, u, tol),
-        _band_report(r, "[Iz,I-] = -I-", lowered, -u, tol),
+        _band_report(r, "[Iz,I-] = -I-", lowered, [-x for x in u], tol),
         _band_report(r, "[I+,I-] = [2Iz]", closed, doubled, tol),
     ]
-
-
-def casimir_symmetrized(r: IrrepMatrices) -> ComplexMatrix:
-    """The symmetrized quadratic (I+ I- + I- I+)/2 + Iz^2.
-
-    Diagonal in the weight basis with entry
-
-        [j][j+1] - [m]([m+1] + [m-1])/2 + m^2
-
-    at weight m; this is the per-copy quantity whose doubled value on
-    the constrained two-copy states feeds the energy denominator.
-    """
-    return (r.iplus @ r.iminus + r.iminus @ r.iplus) / 2.0 + r.iz @ r.iz
 
 
 def casimir_identity_report(r: IrrepMatrices, tol: float) -> VerificationReport:
@@ -221,26 +214,40 @@ def casimir_identity_report(r: IrrepMatrices, tol: float) -> VerificationReport:
     sum a multiple of the identity (docs/derivations.md, section 3).
     Both sides are diagonal, u_k^2 + [m][m+1] on the left, so the check
     runs on the diagonal alone with the bits of the dense product.
+    Integer brackets are read from the irrep; at half-integer j the
+    brackets [j+1], ..., [1/2] are evaluated here, [j+1] first.
     Raises :class:`QNumberOverflowError` if an entry is not finite.
     """
-    # [j+1], [j], ..., [-j]: the neighbours of entry k are [m_k+1] and [m_k].
-    brackets = np.array(
-        [qnumber(t / 2.0, r.d) for t in range(r.j.twice_j + 2, -r.j.twice_j - 1, -2)],
-        dtype=np.float64,
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        products = brackets[1:] * brackets[:-1]  # [m][m+1]
-        lhs = _ladder_squares(r)[:-1] + products
+    tj = r.j.twice_j
+    # [j+1], [j], ..., down to [0] or [1/2].
+    if tj % 2:
+        nonnegative = [qnumber(t / 2.0, r.d) for t in range(tj + 2, 0, -2)]
+    else:
+        nonnegative = r.brackets[tj // 2 + 1::-1]
+    # [j+1], [j], ..., [-j]: below zero [-x] = -[x], for x from [1/2] or [1] up to [j].
+    brackets = [*nonnegative, *(-x for x in nonnegative[tj % 2 - 2:0:-1])]
+    products = list(map(mul, brackets[1:], brackets))  # [m][m+1]
+    lhs = list(map(add, _ladder_squares(r), products))
     # The first product, at m = j, is the eigenvalue [j][j+1].
-    return _band_report(
-        r, "I-I+ + [Iz][Iz+1] = [j][j+1] Id", lhs, np.full(r.dim, products[0]), tol
+    return _band_report(r, "I-I+ + [Iz][Iz+1] = [j][j+1] Id", lhs, [products[0]] * r.dim, tol)
+
+
+def _commutator(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
+    return a @ b - b @ a
+
+
+def _dense_report(
+    name: str, lhs: ComplexMatrix, rhs: ComplexMatrix, tol: float
+) -> VerificationReport:
+    return _verdict(
+        name, float(abs(lhs).max()), float(abs(rhs).max()), float(abs(lhs - rhs).max()), tol
     )
 
 
 def _cartesian(r: IrrepMatrices) -> tuple[ComplexMatrix, ComplexMatrix, ComplexMatrix]:
     x = (r.iplus + r.iminus) / 2.0
     y = (r.iplus - r.iminus) / 2.0j
-    return x, y, np.asarray(r.iz)
+    return x, y, r.iz
 
 
 def verify_so4_limit(j1: SpinLabel, j2: SpinLabel, tol: float) -> list[VerificationReport]:
@@ -254,8 +261,10 @@ def verify_so4_limit(j1: SpinLabel, j2: SpinLabel, tol: float) -> list[Verificat
     of Cartesian components close into the rotation/rescaled-Runge-Lenz
     pattern: [La, Lb] = i e_abc Lc, [La, M~b] = i e_abc M~c and
     [M~a, M~b] = i e_abc Lc.  One report per cyclic pair per family,
-    nine in total.
+    nine in total, from dense complex matrix products.
     """
+    import numpy as np
+
     undeformed = DeformationParameter(1.0)
     r1 = build_irrep(j1, undeformed)
     r2 = build_irrep(j2, undeformed)
@@ -271,11 +280,11 @@ def verify_so4_limit(j1: SpinLabel, j2: SpinLabel, tol: float) -> list[Verificat
     reports = []
     for a, b, c in cyclic:
         name = f"[L{axes[a]},L{axes[b]}] = i L{axes[c]}"
-        reports.append(_report(name, _commutator(ell[a], ell[b]), 1j * ell[c], tol))
+        reports.append(_dense_report(name, _commutator(ell[a], ell[b]), 1j * ell[c], tol))
     for a, b, c in cyclic:
         name = f"[L{axes[a]},M{axes[b]}] = i M{axes[c]}"
-        reports.append(_report(name, _commutator(ell[a], mtilde[b]), 1j * mtilde[c], tol))
+        reports.append(_dense_report(name, _commutator(ell[a], mtilde[b]), 1j * mtilde[c], tol))
     for a, b, c in cyclic:
         name = f"[M{axes[a]},M{axes[b]}] = i L{axes[c]}"
-        reports.append(_report(name, _commutator(mtilde[a], mtilde[b]), 1j * ell[c], tol))
+        reports.append(_dense_report(name, _commutator(mtilde[a], mtilde[b]), 1j * ell[c], tol))
     return reports

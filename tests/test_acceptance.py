@@ -13,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
+from oracles import casimir_symmetrized
 from qhydrogen.cli import main as cli_main
 from qhydrogen.irreps import (
     build_irrep,
     casimir_identity_report,
-    casimir_symmetrized,
     verify_commutators,
     verify_so4_limit,
 )

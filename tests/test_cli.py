@@ -180,6 +180,21 @@ class TestLevelsCommand:
         assert target.read_text() == out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("levels", "--q", "2", "--j-max", "2"),
+     ("dump-irrep", "--j", "2", "--q", "2", "--operator", "iplus")],
+    ids=["levels", "dump-irrep"],
+)
+def test_output_into_missing_directory_is_a_validation_error(capsys, tmp_path, args):
+    target = tmp_path / "missing" / "out"
+    code, out, err = run_cli(capsys, *args, "--output", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("Error: ") and "Traceback" not in err
+    assert "No such file or directory" in err
+    assert not target.parent.exists()
+
+
 class TestStatesCommand:
     def test_deformed_count_and_order(self, capsys):
         _, out, _ = run_cli(capsys, "states", "--j", "2")

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import casimir_symmetrized
 from qhydrogen.irreps import (
     VerificationReport,
     build_irrep,
     casimir_identity_report,
-    casimir_symmetrized,
     verify_commutators,
     verify_so4_limit,
 )
@@ -141,8 +141,10 @@ class TestBuildIrrep:
         r = build_irrep(SpinLabel(2), DeformationParameter(2.0))
         with pytest.raises(ValueError):
             r.iz[0, 0] = 9.0
-        for a in (r.ladder, r.iz, r.iplus, r.iminus):
+        for a in (r.iz, r.iplus, r.iminus):
             assert not a.flags.writeable
+        # the stored values are tuples, immutable themselves
+        assert type(r.ladder) is tuple and type(r.brackets) is tuple
 
     @pytest.mark.parametrize("d", PARITY_DEFORMATIONS[:4], ids=lambda d: f"s={d.s!r}")
     def test_lazy_matrices_equal_dense_construction(self, d):
@@ -156,8 +158,8 @@ class TestBuildIrrep:
 
     def test_ladder_is_the_superdiagonal(self):
         r = build_irrep(SpinLabel(9), DeformationParameter(1.7))
-        assert r.ladder.dtype == np.float64 and r.ladder.shape == (9,)
-        assert np.array_equal(r.ladder, np.diagonal(r.iplus, 1).real)
+        assert len(r.ladder) == 9 and all(type(u) is float for u in r.ladder)
+        assert r.ladder == tuple(np.diagonal(r.iplus, 1).real.tolist())
 
     def test_overflowing_radicand_gives_finite_ladder(self):
         # At s = 0.5, 2j = 1419, [j+m+1][j-m] overflows for all but the
@@ -198,7 +200,7 @@ class TestBuildIrrep:
 
 
 class TestBracketsOnce:
-    """build_irrep and casimir_identity_report evaluate each bracket once."""
+    """Checking one spin evaluates each bracket once, over all three calls."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -219,10 +221,15 @@ class TestBracketsOnce:
         for tj in range(10):
             calls.clear()
             r = build_irrep(SpinLabel(tj), d)
-            assert sorted(calls) == [float(k) for k in range(1, tj + 1)]
-            calls.clear()
+            verify_commutators(r, 1e-11)
             casimir_identity_report(r, 1e-11)
-            assert sorted(calls) == [t / 2.0 for t in range(-tj, tj + 3, 2)]
+            assert len(calls) == len(set(calls)), (tj, calls)
+            # [1]..[2j] for the ladder ([1] alone at j = 0), and at
+            # half-integer j the Casimir's [1/2]..[j+1].
+            expected = {float(k) for k in range(1, max(tj, 1) + 1)}
+            if tj % 2:
+                expected |= {t / 2.0 for t in range(1, tj + 3, 2)}
+            assert set(calls) == expected, tj
 
 
 class TestCommutators:
@@ -283,6 +290,8 @@ class TestBandedParity:
             # the bracket [j + 1] of the Casimir eigenvalue is the first to overflow
             (500.0, [1]),
             (-720.0, [0, 1, 2]),
+            # at 2j = 1 only the Casimir's [3/2] overflows
+            (700.0, [0, 1, 2, 3]),
         ],
     )
     def test_errors_equal_dense(self, s, spins):

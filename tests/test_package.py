@@ -37,12 +37,13 @@ def test_star_import():
     assert set(importlib.import_module("qhydrogen").__all__) <= namespace.keys()
 
 
-# Runs in a fresh interpreter: the table commands must leave numpy
-# unimported, and the irreps layer must still load it when used.
+# Runs in a fresh interpreter: every command, `verify` included, must
+# leave numpy unimported, and reading a dense matrix must load it.
 _LAZY_NUMPY = """
 import contextlib, io, sys
 import qhydrogen, qhydrogen.cli
 from qhydrogen.cli import main
+from qhydrogen.irreps import verify_commutators
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
         main(["levels", "--q", "2", "--j-max", "2"]),
@@ -52,11 +53,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     ]
 assert codes == [0, 0, 0, 0], codes
 assert "numpy" not in sys.modules
-# A name bound in qhydrogen.cli before the irreps layer loads (as a
-# profiler's wrapper is) is what verify calls, and loading keeps it.
+# A name bound in qhydrogen.cli (as a profiler's wrapper is) is what
+# verify calls.
 dims = []
 def counted(r, tolerance):
-    from qhydrogen.irreps import verify_commutators
     dims.append(r.dim)
     return verify_commutators(r, tolerance)
 qhydrogen.cli.verify_commutators = counted
@@ -64,9 +64,11 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     assert main(["verify", "--q", "1.1", "--j-max", "2"]) == 0
 assert out.getvalue() == open(sys.argv[1], encoding="utf-8").read()
 assert dims == [1, 2, 3] and qhydrogen.cli.verify_commutators is counted
-assert "numpy" in sys.modules
+assert "numpy" not in sys.modules
 r = qhydrogen.build_irrep(qhydrogen.SpinLabel(2), qhydrogen.DeformationParameter(1.1))
-assert r.dim == 3 and r.iz.shape == (3, 3)
+assert r.dim == 3 and "numpy" not in sys.modules
+assert r.iz.shape == (3, 3)
+assert "numpy" in sys.modules
 print("ok")
 """
 
@@ -88,7 +90,7 @@ def run_module(*args):
     return run_python("-m", "qhydrogen", *args)
 
 
-def test_table_commands_do_not_import_numpy():
+def test_only_dense_helpers_import_numpy():
     done = run_python("-c", _LAZY_NUMPY, str(GOLDEN / "verify_q1.1_jmax2.csv"))
     assert done.returncode == 0, done.stderr
     assert done.stdout == b"ok\n"

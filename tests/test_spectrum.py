@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhydrogen.irreps import build_irrep, casimir_symmetrized
+from oracles import casimir_symmetrized
+from qhydrogen.irreps import build_irrep
 from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel
 from qhydrogen.spectrum import (
     EnergyLevel,

@@ -107,6 +107,10 @@ class TestGoldenFiles:
             ("lines_q0.7_lower1_1_wavenumber.json",
              ("lines", "--q", "0.7", "--j-max", "6", "--lower-j", "1", "--lower-m", "1",
               "--units", "wavenumber", "--format", "json")),
+            # every entry of I- has imaginary part -0 (the conjugate of +0)
+            *((f"dump_irrep_j3_q1.5_{op}.json",
+               ("dump-irrep", "--j", "3", "--q", "1.5", "--operator", op))
+              for op in ("iz", "iplus", "iminus")),
         ],
     )
     def test_emitter_bytes(self, capsys, golden, args):

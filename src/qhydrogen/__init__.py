@@ -6,10 +6,9 @@ energies E/Ry = -2/D with D = 8[j][j+1] - 4[m]([m+1]+[m-1]) + 8m^2 + 2,
 including the partial degeneracy breaking (one sublevel per |m|, with
 multiplicity 4 or 1) and the resulting line splittings.
 
-numpy is imported only by the dense helpers of the irreps layer (the
-``iz``, ``iplus`` and ``iminus`` matrices of an irrep, which the
-``dump-irrep`` command prints, and ``verify_so4_limit``): importing the
-package and running the other commands never imports it.
+Everything runs on plain Python floats: an irrep is stored as its
+ladder weights, never as a matrix, and no module imports an array
+library.
 """
 
 from .qnum import (

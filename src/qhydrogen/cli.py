@@ -56,12 +56,12 @@ _FRACTION_COLUMNS = {
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """``numpy.linspace(start, stop, num)`` as floats, bit for bit.
+    """``num`` evenly spaced floats from ``start`` to ``stop``.
 
-    The same float64 operations in numpy's order: ``i*step + start``,
-    or ``i/div*delta + start`` where the step is 0 (a zero range or an
-    underflowing step), then the last point set to ``stop``.  One point
-    is ``0*delta + start``.
+    Bit for bit the usual array ``linspace``, by the same float64
+    operations in its order: ``i*step + start``, or ``i/div*delta + start``
+    where the step is 0 (a zero range or an underflowing step), then the
+    last point set to ``stop``.  One point is ``0*delta + start``.
     """
     delta = stop - start
     div = num - 1
@@ -472,9 +472,19 @@ def dump_irrep(q, s, twice_j, operator, output) -> None:
     """Dump one generator matrix as JSON ([re, im] pairs, row-major)."""
     d = _resolve_deformation(q, s)
     r = build_irrep(SpinLabel(twice_j), d)
-    matrix = getattr(r, operator)
+    # The nonzeros by (row, column): Iz's weights, or the ladder above
+    # (I+) or below (I-) the diagonal.  I- = (I+)^dagger, so each of its
+    # entries has imaginary part -0, the conjugate of +0.
+    if operator == "iz":
+        nonzeros = {(k, k): tm / 2.0 for k, tm in enumerate(r.j.twice_m_values())}
+    elif operator == "iplus":
+        nonzeros = {(k - 1, k): u for k, u in enumerate(r.ladder, 1)}
+    else:
+        nonzeros = {(k, k - 1): u for k, u in enumerate(r.ladder, 1)}
+    imag = "-0" if operator == "iminus" else "0"
     entries = ", ".join(
-        f"[{value.real:.15g}, {value.imag:.15g}]" for value in matrix.reshape(-1)
+        f"[{nonzeros.get((row, col), 0.0):.15g}, {imag}]"
+        for row in range(r.dim) for col in range(r.dim)
     )
     document = (
         "{"

@@ -19,31 +19,23 @@ the standard Casimir numerically, and the q = 1 tensor-product
 recombination into the rotation/Runge-Lenz pattern.
 
 An irrep stores, as tuples of floats, the integer brackets of its spin
-and the I+ weights sqrt([j+m+1][j-m]) built from them.  Iz is diagonal
-and I+- each have one off-diagonal, so every relation checked here has
-nonzeros on one diagonal, and the checks run on it in plain float
-arithmetic, O(2j + 1), reading the brackets the irrep holds instead of
-evaluating them again.  numpy is imported only by the dense helpers:
-the complex matrices ``iz``, ``iplus`` and ``iminus``, built on first
-read and marked read-only, and :func:`verify_so4_limit`.  Built values
-can be shared freely across threads.
+and the I+ weights sqrt([j+m+1][j-m]) built from them; no matrix is
+stored or built.  Iz is diagonal and I+- each have one off-diagonal,
+so every relation checked here has nonzeros on one diagonal, and the
+checks run on it in plain float arithmetic, O(2j + 1), reading the
+brackets the irrep holds instead of evaluating them again.  The q = 1
+recombination is a Kronecker sum of two such copies and is checked on
+its factors.  Built values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from operator import add, mul, sub
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
-
-if TYPE_CHECKING:
-    import numpy as np
-    from numpy.typing import NDArray
-
-    ComplexMatrix = NDArray[np.complex128]
 
 __all__ = [
     "IrrepMatrices",
@@ -54,6 +46,9 @@ __all__ = [
     "verify_so4_limit",
 ]
 
+# A banded complex matrix by its nonzeros: (row, column) -> entry.
+_SparseMatrix = dict[tuple[int, int], complex]
+
 
 @dataclass(frozen=True, eq=False)
 class IrrepMatrices:
@@ -63,10 +58,9 @@ class IrrepMatrices:
     j = 0, for the Casimir eigenvalue [0][1]), each evaluated once.
     ``ladder`` holds the I+ weights u_k = sqrt([j+m+1][j-m]) =
     sqrt([2j+1-k][k]), k = 1..2j, where column k carries |m> and row
-    k-1 carries |m+1>.  Both are tuples of floats and are all that the
-    module stores; the dense complex matrices ``iz``, ``iplus`` and
-    ``iminus`` are built from the ladder the first time they are read,
-    which imports numpy.
+    k-1 carries |m+1>: the one nonzero diagonal of I+, and transposed
+    that of I-.  Both are tuples of floats, and all that the module
+    stores.
     """
 
     j: SpinLabel
@@ -77,27 +71,6 @@ class IrrepMatrices:
     @property
     def dim(self) -> int:
         return self.j.dim
-
-    @cached_property
-    def iz(self) -> ComplexMatrix:
-        import numpy as np
-
-        iz = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        np.fill_diagonal(iz, [tm / 2.0 for tm in self.j.twice_m_values()])
-        return _read_only(iz)
-
-    @cached_property
-    def iplus(self) -> ComplexMatrix:
-        import numpy as np
-
-        k = np.arange(1, self.dim)
-        iplus = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        iplus[k - 1, k] = self.ladder
-        return _read_only(iplus)
-
-    @cached_property
-    def iminus(self) -> ComplexMatrix:
-        return _read_only(self.iplus.conj().T.copy())
 
 
 @dataclass(frozen=True)
@@ -138,11 +111,6 @@ def _band_report(
             f"twice_j={r.j.twice_j}, s={r.d.s!r}"
         )
     return _verdict(name, _max_abs(lhs), _max_abs(rhs), _max_abs(map(sub, lhs, rhs)), tol)
-
-
-def _read_only(a: NDArray) -> NDArray:
-    a.setflags(write=False)
-    return a
 
 
 def _ladder_squares(r: IrrepMatrices) -> list[float]:
@@ -232,22 +200,55 @@ def casimir_identity_report(r: IrrepMatrices, tol: float) -> VerificationReport:
     return _band_report(r, "I-I+ + [Iz][Iz+1] = [j][j+1] Id", lhs, [products[0]] * r.dim, tol)
 
 
-def _commutator(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    return a @ b - b @ a
+def _product(a: _SparseMatrix, b: _SparseMatrix) -> _SparseMatrix:
+    """The matrix product, summing over the nonzeros of both factors."""
+    rows: dict[int, list[tuple[int, complex]]] = {}
+    for (k, j), y in b.items():
+        rows.setdefault(k, []).append((j, y))
+    out: _SparseMatrix = {}
+    for (i, k), x in a.items():
+        for j, y in rows.get(k, ()):
+            out[i, j] = out.get((i, j), 0j) + x * y
+    return out
 
 
-def _dense_report(
-    name: str, lhs: ComplexMatrix, rhs: ComplexMatrix, tol: float
-) -> VerificationReport:
-    return _verdict(
-        name, float(abs(lhs).max()), float(abs(rhs).max()), float(abs(lhs - rhs).max()), tol
-    )
+def _difference(a: _SparseMatrix, b: _SparseMatrix) -> _SparseMatrix:
+    return {key: a.get(key, 0j) - b.get(key, 0j) for key in a.keys() | b.keys()}
 
 
-def _cartesian(r: IrrepMatrices) -> tuple[ComplexMatrix, ComplexMatrix, ComplexMatrix]:
-    x = (r.iplus + r.iminus) / 2.0
-    y = (r.iplus - r.iminus) / 2.0j
-    return x, y, r.iz
+def _cartesian(r: IrrepMatrices) -> tuple[_SparseMatrix, _SparseMatrix, _SparseMatrix]:
+    """X = (I+ + I-)/2, Y = (I+ - I-)/2i and Z = Iz by their nonzeros."""
+    x: _SparseMatrix = {}
+    y: _SparseMatrix = {}
+    for k, u in enumerate(r.ladder, 1):
+        x[k - 1, k] = x[k, k - 1] = complex(u / 2.0)
+        y[k - 1, k], y[k, k - 1] = -0.5j * u, 0.5j * u
+    z = {(k, k): complex(tm / 2.0) for k, tm in enumerate(r.j.twice_m_values())}
+    return x, y, z
+
+
+def _relation_factors(
+    a: _SparseMatrix, b: _SparseMatrix, c: _SparseMatrix
+) -> tuple[_SparseMatrix, _SparseMatrix, _SparseMatrix]:
+    """[A, B], i C and the residual [A, B] - i C on one copy."""
+    closed = _difference(_product(a, b), _product(b, a))
+    image = {key: 1j * v for key, v in c.items()}
+    return closed, image, _difference(closed, image)
+
+
+def _kronecker_sum_max(
+    c: _SparseMatrix, d: _SparseMatrix, sign: int, dims: tuple[int, int]
+) -> float:
+    """Largest |entry| of C (x) 1 + sign 1 (x) D, read from the factors.
+
+    Off the diagonal of either factor an entry of the sum is one entry
+    of C or of D, up to sign; on both diagonals it is C_ii + sign D_kk,
+    for every pair (docs/derivations.md, section 9).
+    """
+    off = [abs(v) for (i, k), v in (*c.items(), *d.items()) if i != k]
+    first = {c.get((i, i), 0j) for i in range(dims[0])}
+    second = {sign * d.get((k, k), 0j) for k in range(dims[1])}
+    return max(max(off, default=0.0), max(abs(x + y) for x in first for y in second))
 
 
 def verify_so4_limit(j1: SpinLabel, j2: SpinLabel, tol: float) -> list[VerificationReport]:
@@ -261,30 +262,32 @@ def verify_so4_limit(j1: SpinLabel, j2: SpinLabel, tol: float) -> list[Verificat
     of Cartesian components close into the rotation/rescaled-Runge-Lenz
     pattern: [La, Lb] = i e_abc Lc, [La, M~b] = i e_abc M~c and
     [M~a, M~b] = i e_abc Lc.  One report per cyclic pair per family,
-    nine in total, from dense complex matrix products.
+    nine in total.  Both sides of each relation, and its residual, are
+    Kronecker sums C (x) 1 +- 1 (x) D of banded single-copy matrices:
+    the residual's factors are the single-copy residuals [A_a, A_b] -
+    i A_c, added for the L L and M~ M~ families and subtracted for L M~.
+    So the product module is never built; each maximum is read from the
+    factors in O(n1 n2), and the L L and M~ M~ reports agree bit for bit
+    (docs/derivations.md, section 9).
     """
-    import numpy as np
-
     undeformed = DeformationParameter(1.0)
-    r1 = build_irrep(j1, undeformed)
-    r2 = build_irrep(j2, undeformed)
-    eye1 = np.eye(r1.dim, dtype=np.complex128)
-    eye2 = np.eye(r2.dim, dtype=np.complex128)
-    first = _cartesian(r1)
-    second = _cartesian(r2)
-    ell = [np.kron(a, eye2) + np.kron(eye1, b) for a, b in zip(first, second)]
-    mtilde = [np.kron(a, eye2) - np.kron(eye1, b) for a, b in zip(first, second)]
+    copies = [build_irrep(j, undeformed) for j in (j1, j2)]
+    dims = (copies[0].dim, copies[1].dim)
+    cartesian = [_cartesian(r) for r in copies]
 
     axes = "xyz"
     cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    # sign -> per cyclic pair, the (lhs, rhs, residual) maxima.
+    maxima: dict[int, list[list[float]]] = {1: [], -1: []}
+    for a, b, c in cyclic:
+        first, second = (_relation_factors(g[a], g[b], g[c]) for g in cartesian)
+        for sign, found in maxima.items():
+            found.append([_kronecker_sum_max(f, g, sign, dims) for f, g in zip(first, second)])
+
     reports = []
-    for a, b, c in cyclic:
-        name = f"[L{axes[a]},L{axes[b]}] = i L{axes[c]}"
-        reports.append(_dense_report(name, _commutator(ell[a], ell[b]), 1j * ell[c], tol))
-    for a, b, c in cyclic:
-        name = f"[L{axes[a]},M{axes[b]}] = i M{axes[c]}"
-        reports.append(_dense_report(name, _commutator(ell[a], mtilde[b]), 1j * mtilde[c], tol))
-    for a, b, c in cyclic:
-        name = f"[M{axes[a]},M{axes[b]}] = i L{axes[c]}"
-        reports.append(_dense_report(name, _commutator(mtilde[a], mtilde[b]), 1j * ell[c], tol))
+    for family, sign in (("[L{},L{}] = i L{}", 1), ("[L{},M{}] = i M{}", -1),
+                         ("[M{},M{}] = i L{}", 1)):
+        for (a, b, c), (lhs, rhs, residual) in zip(cyclic, maxima[sign]):
+            name = family.format(axes[a], axes[b], axes[c])
+            reports.append(_verdict(name, lhs, rhs, residual, tol))
     return reports

@@ -1,7 +1,43 @@
-"""Dense operator oracles shared by the test modules."""
+"""Dense operator oracles shared by the test modules.
+
+The library stores an irrep as its ladder weights only; these build the
+complex matrices explicitly and check relations with dense products.
+"""
+
+import math
+
+import numpy as np
+
+from qhydrogen.irreps import VerificationReport, build_irrep
+from qhydrogen.qnum import DeformationParameter, qnumber
 
 
-def casimir_symmetrized(r):
+def dense_matrices(j, d):
+    """Iz, I+ and I- built entry by entry from the brackets, not the ladder."""
+    tj = j.twice_j
+    dim = tj + 1
+    iz = np.zeros((dim, dim), dtype=np.complex128)
+    iplus = np.zeros((dim, dim), dtype=np.complex128)
+    for k, tm in enumerate(j.twice_m_values()):
+        iz[k, k] = tm / 2.0
+        if k > 0:
+            radicand = qnumber((tj + tm) // 2 + 1, d) * qnumber((tj - tm) // 2, d)
+            iplus[k - 1, k] = math.sqrt(radicand)
+    return iz, iplus, iplus.conj().T.copy()
+
+
+def ladder_matrices(r):
+    """Iz, I+ and I- of an irrep, placing its ladder on the superdiagonal of I+."""
+    dim = r.dim
+    iz = np.zeros((dim, dim), dtype=np.complex128)
+    np.fill_diagonal(iz, [tm / 2.0 for tm in r.j.twice_m_values()])
+    iplus = np.zeros((dim, dim), dtype=np.complex128)
+    k = np.arange(1, dim)
+    iplus[k - 1, k] = r.ladder
+    return iz, iplus, iplus.conj().T.copy()
+
+
+def casimir_symmetrized(iz, iplus, iminus):
     """The symmetrized quadratic (I+ I- + I- I+)/2 + Iz^2 of an irrep.
 
     Diagonal in the weight basis with entry
@@ -12,4 +48,49 @@ def casimir_symmetrized(r):
     the constrained two-copy states feeds the energy denominator
     (docs/derivations.md, section 4).
     """
-    return (r.iplus @ r.iminus + r.iminus @ r.iplus) / 2.0 + r.iz @ r.iz
+    return (iplus @ iminus + iminus @ iplus) / 2.0 + iz @ iz
+
+
+def dense_report(name, lhs, rhs, tol):
+    def max_abs(a):
+        return float(np.max(np.abs(a))) if a.size else 0.0
+
+    scale = max(1.0, max_abs(lhs), max_abs(rhs))
+    deviation = max_abs(lhs - rhs) / scale
+    return VerificationReport(name, deviation, float(tol), deviation <= float(tol))
+
+
+def commutator(a, b):
+    return a @ b - b @ a
+
+
+def _cartesian(r):
+    iz, iplus, iminus = ladder_matrices(r)
+    return (iplus + iminus) / 2.0, (iplus - iminus) / 2.0j, iz
+
+
+def dense_verify_so4_limit(j1, j2, tol):
+    """The q = 1 recombination checked on the product module, (n1 n2)^3.
+
+    Builds L = I (x) 1 + 1 (x) J and M~ = I (x) 1 - 1 (x) J with
+    Kronecker products and takes each commutator by dense products.
+    """
+    undeformed = DeformationParameter(1.0)
+    first = _cartesian(build_irrep(j1, undeformed))
+    second = _cartesian(build_irrep(j2, undeformed))
+    eye1 = np.eye(first[0].shape[0], dtype=np.complex128)
+    eye2 = np.eye(second[0].shape[0], dtype=np.complex128)
+    ell = [np.kron(a, eye2) + np.kron(eye1, b) for a, b in zip(first, second)]
+    mtilde = [np.kron(a, eye2) - np.kron(eye1, b) for a, b in zip(first, second)]
+
+    axes = "xyz"
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    reports = []
+    for left, right, image, family in (("L", "L", "L", (ell, ell, ell)),
+                                       ("L", "M", "M", (ell, mtilde, mtilde)),
+                                       ("M", "M", "L", (mtilde, mtilde, ell))):
+        for a, b, c in cyclic:
+            name = f"[{left}{axes[a]},{right}{axes[b]}] = i {image}{axes[c]}"
+            lhs = commutator(family[0][a], family[1][b])
+            reports.append(dense_report(name, lhs, 1j * family[2][c], tol))
+    return reports

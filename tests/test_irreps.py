@@ -1,15 +1,25 @@
 """Tests for the explicit matrix representations and their verification."""
 
 import math
+import sys
+import time
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import casimir_symmetrized
+import qhydrogen.irreps
+from oracles import (
+    casimir_symmetrized,
+    commutator,
+    dense_matrices,
+    dense_report,
+    dense_verify_so4_limit,
+    ladder_matrices,
+)
 from qhydrogen.irreps import (
-    VerificationReport,
+    IrrepMatrices,
     build_irrep,
     casimir_identity_report,
     verify_commutators,
@@ -25,44 +35,19 @@ def max_normalized(a, b):
     return np.max(np.abs(a - b)) / scale
 
 
-# Dense oracle: the matrices and checks as built before the banded
-# evaluation, with explicit complex matrix products.
-
-
-def dense_matrices(j, d):
-    tj = j.twice_j
-    dim = tj + 1
-    iz = np.zeros((dim, dim), dtype=np.complex128)
-    iplus = np.zeros((dim, dim), dtype=np.complex128)
-    for k, tm in enumerate(j.twice_m_values()):
-        iz[k, k] = tm / 2.0
-        if k > 0:
-            radicand = qnumber((tj + tm) // 2 + 1, d) * qnumber((tj - tm) // 2, d)
-            iplus[k - 1, k] = math.sqrt(radicand)
-    return iz, iplus, iplus.conj().T.copy()
-
-
-def dense_report(name, lhs, rhs, tol):
-    def max_abs(a):
-        return float(np.max(np.abs(a))) if a.size else 0.0
-
-    scale = max(1.0, max_abs(lhs), max_abs(rhs))
-    deviation = max_abs(lhs - rhs) / scale
-    return VerificationReport(name, deviation, float(tol), deviation <= float(tol))
-
-
-def commutator(a, b):
-    return a @ b - b @ a
+# Dense oracle: the checks as made before the banded evaluation, with
+# explicit complex matrix products on the matrices the ladder fills.
 
 
 def dense_verify_commutators(r, tol):
+    iz, iplus, iminus = ladder_matrices(r)
     doubled = np.diag(
         np.array([qnumber(tm, r.d) for tm in r.j.twice_m_values()], dtype=np.complex128)
     )
     return [
-        dense_report("[Iz,I+] = +I+", commutator(r.iz, r.iplus), r.iplus, tol),
-        dense_report("[Iz,I-] = -I-", commutator(r.iz, r.iminus), -r.iminus, tol),
-        dense_report("[I+,I-] = [2Iz]", commutator(r.iplus, r.iminus), doubled, tol),
+        dense_report("[Iz,I+] = +I+", commutator(iz, iplus), iplus, tol),
+        dense_report("[Iz,I-] = -I-", commutator(iz, iminus), -iminus, tol),
+        dense_report("[I+,I-] = [2Iz]", commutator(iplus, iminus), doubled, tol),
     ]
 
 
@@ -72,7 +57,8 @@ def casimir_standard(r):
         [qnumber(tm / 2.0, r.d) * qnumber(tm / 2.0 + 1.0, r.d) for tm in r.j.twice_m_values()],
         dtype=np.complex128,
     )
-    return r.iminus @ r.iplus + np.diag(diag)
+    _, iplus, iminus = ladder_matrices(r)
+    return iminus @ iplus + np.diag(diag)
 
 
 def dense_casimir_identity_report(r, tol):
@@ -104,62 +90,53 @@ class TestBuildIrrep:
     def test_spin_half_entry_is_q_independent(self):
         for q in Q_GRID:
             r = build_irrep(SpinLabel(1), DeformationParameter(q))
-            assert r.iplus[0, 1] == 1.0
+            assert ladder_matrices(r)[1][0, 1] == 1.0
             assert r.dim == 2
 
     def test_spin_one_undeformed(self):
-        r = build_irrep(SpinLabel(2), DeformationParameter(1.0))
-        assert r.iplus[0, 1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert r.iplus[1, 2] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        _, iplus, _ = ladder_matrices(build_irrep(SpinLabel(2), DeformationParameter(1.0)))
+        assert iplus[0, 1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert iplus[1, 2] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_spin_one_at_q_two(self):
         # both weights are sqrt([2][1]) = sqrt([1][2]) = sqrt(2.5)
-        r = build_irrep(SpinLabel(2), DeformationParameter(2.0))
-        assert r.iplus[0, 1] == pytest.approx(math.sqrt(2.5), rel=1e-14)
-        assert r.iplus[1, 2] == pytest.approx(math.sqrt(2.5), rel=1e-14)
+        _, iplus, _ = ladder_matrices(build_irrep(SpinLabel(2), DeformationParameter(2.0)))
+        assert iplus[0, 1] == pytest.approx(math.sqrt(2.5), rel=1e-14)
+        assert iplus[1, 2] == pytest.approx(math.sqrt(2.5), rel=1e-14)
 
     def test_iz_descending_diagonal(self):
-        r = build_irrep(SpinLabel(3), DeformationParameter(1.3))
-        assert np.allclose(np.diagonal(r.iz), [1.5, 0.5, -0.5, -1.5])
-        off = r.iz - np.diag(np.diagonal(r.iz))
+        iz, _, _ = ladder_matrices(build_irrep(SpinLabel(3), DeformationParameter(1.3)))
+        assert np.allclose(np.diagonal(iz), [1.5, 0.5, -0.5, -1.5])
+        off = iz - np.diag(np.diagonal(iz))
         assert np.all(off == 0)
-        assert np.all(np.diagonal(r.iz).imag == 0)
+        assert np.all(np.diagonal(iz).imag == 0)
 
     def test_iplus_strictly_superdiagonal(self):
-        r = build_irrep(SpinLabel(4), DeformationParameter(2.0))
+        _, iplus, _ = ladder_matrices(build_irrep(SpinLabel(4), DeformationParameter(2.0)))
         mask = np.zeros((5, 5), dtype=bool)
         for k in range(4):
             mask[k, k + 1] = True
-        assert np.all(r.iplus[~mask] == 0)
-        assert np.all(r.iplus[mask] != 0)
+        assert np.all(iplus[~mask] == 0)
+        assert np.all(iplus[mask] != 0)
 
     def test_iminus_is_exact_conjugate_transpose(self):
-        r = build_irrep(SpinLabel(5), DeformationParameter(0.7))
-        assert np.array_equal(r.iminus, r.iplus.conj().T)
-
-    def test_matrices_are_read_only(self):
-        r = build_irrep(SpinLabel(2), DeformationParameter(2.0))
-        with pytest.raises(ValueError):
-            r.iz[0, 0] = 9.0
-        for a in (r.iz, r.iplus, r.iminus):
-            assert not a.flags.writeable
-        # the stored values are tuples, immutable themselves
-        assert type(r.ladder) is tuple and type(r.brackets) is tuple
-
-    @pytest.mark.parametrize("d", PARITY_DEFORMATIONS[:4], ids=lambda d: f"s={d.s!r}")
-    def test_lazy_matrices_equal_dense_construction(self, d):
-        for tj in (0, 1, 2, 7, 30):
-            r = build_irrep(SpinLabel(tj), d)
-            for built, dense in zip((r.iz, r.iplus, r.iminus), dense_matrices(SpinLabel(tj), d)):
-                assert built.dtype == np.complex128
-                assert np.array_equal(built, dense)
-                # signed zeros too: dump-irrep prints the imaginary parts
-                assert built.tobytes() == dense.tobytes()
+        _, iplus, iminus = ladder_matrices(build_irrep(SpinLabel(5), DeformationParameter(0.7)))
+        assert np.array_equal(iminus, iplus.conj().T)
 
     def test_ladder_is_the_superdiagonal(self):
         r = build_irrep(SpinLabel(9), DeformationParameter(1.7))
+        # the stored values are tuples of floats, immutable themselves
+        assert type(r.ladder) is tuple and type(r.brackets) is tuple
         assert len(r.ladder) == 9 and all(type(u) is float for u in r.ladder)
-        assert r.ladder == tuple(np.diagonal(r.iplus, 1).real.tolist())
+        # against I+ built entry by entry from the brackets
+        for d in PARITY_DEFORMATIONS[:4]:
+            for tj in (0, 1, 2, 7, 9, 30):
+                r = build_irrep(SpinLabel(tj), d)
+                dense = dense_matrices(SpinLabel(tj), d)
+                assert r.ladder == tuple(np.diagonal(dense[1], 1).real.tolist())
+                # signed zeros too: the same bytes as the entrywise construction
+                for built, expected in zip(ladder_matrices(r), dense):
+                    assert built.tobytes() == expected.tobytes()
 
     def test_overflowing_radicand_gives_finite_ladder(self):
         # At s = 0.5, 2j = 1419, [j+m+1][j-m] overflows for all but the
@@ -188,15 +165,15 @@ class TestBuildIrrep:
 
     def test_q_inversion_gives_identical_matrices(self):
         for q in [0.5, 1.1, 2.0, 5.0]:
-            a = build_irrep(SpinLabel(7), DeformationParameter(q))
-            b = build_irrep(SpinLabel(7), DeformationParameter(1.0 / q))
-            assert max_normalized(a.iplus, b.iplus) <= 1e-13
-            assert np.array_equal(a.iz, b.iz)
+            a = ladder_matrices(build_irrep(SpinLabel(7), DeformationParameter(q)))
+            b = ladder_matrices(build_irrep(SpinLabel(7), DeformationParameter(1.0 / q)))
+            assert max_normalized(a[1], b[1]) <= 1e-13
+            assert np.array_equal(a[0], b[0])
 
     def test_spin_zero_is_scalar_zero(self):
         r = build_irrep(SpinLabel(0), DeformationParameter(3.0))
-        assert r.dim == 1
-        assert r.iz[0, 0] == 0 and r.iplus[0, 0] == 0 and r.iminus[0, 0] == 0
+        assert r.dim == 1 and r.ladder == ()
+        assert all(a.shape == (1, 1) and a[0, 0] == 0 for a in ladder_matrices(r))
 
 
 class TestBracketsOnce:
@@ -243,7 +220,7 @@ class TestCommutators:
         # 2x2 case: [I+, I-] = diag(1, -1) and [2m] = [1], [-1] = +-1.
         d = DeformationParameter(7.0)
         r = build_irrep(SpinLabel(1), d)
-        comm = r.iplus @ r.iminus - r.iminus @ r.iplus
+        comm = commutator(*ladder_matrices(r)[1:])
         assert np.array_equal(comm, np.diag([1.0 + 0j, -1.0 + 0j]))
         assert qnumber(1, d) == 1.0
         reports = verify_commutators(r, 1e-13)
@@ -303,12 +280,6 @@ class TestBandedParity:
         error = all_reports(1, DeformationParameter.from_s(500.0), *BANDED)
         assert error[0] is QNumberOverflowError and "x=1.5" in error[1]
 
-    def test_no_dense_matrix_is_built(self):
-        r = build_irrep(SpinLabel(40), DeformationParameter(1.3))
-        verify_commutators(r, 1e-11)
-        casimir_identity_report(r, 1e-11)
-        assert not {"iz", "iplus", "iminus"} & vars(r).keys()
-
 
 class TestCasimirStandard:
     def test_undeformed_spin_half(self):
@@ -334,7 +305,7 @@ class TestCasimirStandard:
         for q in [0.5, 1.1, 5.0]:
             r = build_irrep(SpinLabel(9), DeformationParameter(q))
             c = casimir_standard(r)
-            for g in (r.iz, r.iplus, r.iminus):
+            for g in ladder_matrices(r):
                 assert max_normalized(c @ g, g @ c) <= 1e-11
 
 
@@ -351,11 +322,12 @@ class TestCasimirSymmetrized:
         for tj in [1, 2, 5]:
             r = build_irrep(SpinLabel(tj), DeformationParameter(1.0))
             expected = (tj / 2.0) * (tj / 2.0 + 1.0)
-            assert np.allclose(casimir_symmetrized(r), expected * np.eye(tj + 1), atol=1e-13)
+            c = casimir_symmetrized(*ladder_matrices(r))
+            assert np.allclose(c, expected * np.eye(tj + 1), atol=1e-13)
 
     def test_spin_one_q_two_values(self):
         r = build_irrep(SpinLabel(2), DeformationParameter(2.0))
-        diag = np.diagonal(casimir_symmetrized(r)).real
+        diag = np.diagonal(casimir_symmetrized(*ladder_matrices(r))).real
         # weights m = 1, 0, -1: [1][2] - [1]([2]+[0])/2 + 1 = 2.25 at |m|=1.
         assert diag[0] == pytest.approx(2.25, abs=1e-12)
         assert diag[1] == pytest.approx(2.5, abs=1e-12)
@@ -366,7 +338,7 @@ class TestCasimirSymmetrized:
         d = DeformationParameter(q)
         for tj in range(13):
             r = build_irrep(SpinLabel(tj), d)
-            c = casimir_symmetrized(r)
+            c = casimir_symmetrized(*ladder_matrices(r))
             off = c - np.diag(np.diagonal(c))
             assert np.max(np.abs(off)) <= 1e-12 * max(1.0, np.max(np.abs(c)))
             for k, tm in enumerate(SpinLabel(tj).twice_m_values()):
@@ -379,11 +351,17 @@ class TestCasimirSymmetrized:
             d = DeformationParameter(q)
             for tj in range(9):
                 r = build_irrep(SpinLabel(tj), d)
-                eigs = np.linalg.eigvalsh(casimir_symmetrized(r))
+                eigs = np.linalg.eigvalsh(casimir_symmetrized(*ladder_matrices(r)))
                 closed = sorted(
                     self.closed_form(tj, tm, d) for tm in SpinLabel(tj).twice_m_values()
                 )
                 assert np.allclose(eigs, closed, atol=1e-12 * max(1.0, abs(closed[-1])))
+
+
+# The factored and the dense so(4) checks sum their rounding residues
+# in different orders; over every pair with 2j <= 20 their deviations
+# stayed below 2.3e-15 and differed by at most 1.9e-15.
+SO4_ORACLE_BOUND = 16 * sys.float_info.epsilon
 
 
 class TestSo4Limit:
@@ -404,6 +382,85 @@ class TestSo4Limit:
         assert sum(name.startswith("[L") and ",L" in name for name in names) == 3
         assert sum(name.startswith("[L") and ",M" in name for name in names) == 3
         assert sum(name.startswith("[M") and ",M" in name for name in names) == 3
+
+    @pytest.mark.parametrize(
+        "twice_j1, twice_j2",
+        [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (3, 4), (6, 2), (12, 13), (20, 19)],
+    )
+    def test_factored_matches_dense_oracle(self, twice_j1, twice_j2):
+        j1, j2 = SpinLabel(twice_j1), SpinLabel(twice_j2)
+        factored = verify_so4_limit(j1, j2, 1e-12)
+        dense = dense_verify_so4_limit(j1, j2, 1e-12)
+        assert [rep.relation_name for rep in factored] == [rep.relation_name for rep in dense]
+        assert all(rep.passed for rep in factored) and all(rep.passed for rep in dense)
+        for f, o in zip(factored, dense):
+            assert abs(f.max_abs_deviation - o.max_abs_deviation) <= SO4_ORACLE_BOUND, f
+
+    def test_skewed_ladder_fails_as_in_dense_oracle(self, monkeypatch):
+        # Weights off by up to a few percent break [I+, I-] = 2 Iz, so
+        # the residuals are of order 1e-2, not rounding residue.
+        import oracles
+
+        def skewed(j, d):
+            r = build_irrep(j, d)
+            ladder = tuple(u * (1.0 + 0.01 * k) for k, u in enumerate(r.ladder))
+            return IrrepMatrices(r.j, r.d, ladder, r.brackets)
+
+        monkeypatch.setattr(qhydrogen.irreps, "build_irrep", skewed)
+        monkeypatch.setattr(oracles, "build_irrep", skewed)
+        for tj1, tj2 in [(1, 2), (6, 5), (12, 13)]:
+            factored = verify_so4_limit(SpinLabel(tj1), SpinLabel(tj2), 1e-12)
+            dense = dense_verify_so4_limit(SpinLabel(tj1), SpinLabel(tj2), 1e-12)
+            assert sum(not rep.passed for rep in factored) == 3, (tj1, tj2)
+            for f, o in zip(factored, dense):
+                assert f.passed == o.passed
+                assert f.max_abs_deviation == pytest.approx(
+                    o.max_abs_deviation, rel=1e-12, abs=SO4_ORACLE_BOUND
+                ), (tj1, tj2, f, o)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_kronecker_sum_maximum_is_exact(self, sign):
+        # C (x) 1 + sign 1 (x) D for banded complex factors, each entry
+        # nonzero with probability 3/4; the factors decide every maximum.
+        rng = np.random.default_rng(20261018)
+
+        def banded(n):
+            return {
+                (i, k): complex(*rng.normal(size=2)) * float(rng.integers(1, 100))
+                for i in range(n) for k in range(max(0, i - 2), min(n, i + 3))
+                if rng.random() < 0.75
+            }
+
+        for n1, n2 in [(1, 1), (1, 4), (4, 1), (2, 3), (5, 6), (9, 7)] * 5:
+            c, d = banded(n1), banded(n2)
+            dense = [np.zeros((n, n), dtype=np.complex128) for n in (n1, n2)]
+            for a, sparse in zip(dense, (c, d)):
+                for key, v in sparse.items():
+                    a[key] = v
+            total = np.kron(dense[0], np.eye(n2)) + sign * np.kron(np.eye(n1), dense[1])
+            found = qhydrogen.irreps._kronecker_sum_max(c, d, sign, (n1, n2))
+            # abs as the library takes it; numpy's may differ in the last bit
+            assert found == max(abs(complex(v)) for v in total.flat), (n1, n2)
+
+    def test_every_pair_up_to_2j_20_passes(self):
+        for tj1 in range(21):
+            for tj2 in range(21):
+                for rep in verify_so4_limit(SpinLabel(tj1), SpinLabel(tj2), 1e-12):
+                    assert rep.passed and rep.max_abs_deviation <= SO4_ORACLE_BOUND, (tj1, tj2, rep)
+
+    def test_ll_and_mm_families_share_one_residual(self):
+        reports = verify_so4_limit(SpinLabel(7), SpinLabel(4), 1e-12)
+        assert [rep.max_abs_deviation for rep in reports[:3]] == [
+            rep.max_abs_deviation for rep in reports[6:]
+        ]
+
+    def test_large_spins_without_the_product_module(self):
+        # The product module has dimension 201 * 200 = 40,200 here; one
+        # dense complex matrix on it would take about 26 GB.
+        start = time.perf_counter()
+        reports = verify_so4_limit(SpinLabel(200), SpinLabel(199), 1e-11)
+        assert time.perf_counter() - start < 1.0
+        assert len(reports) == 9 and all(rep.passed for rep in reports)
 
 
 @settings(max_examples=40, deadline=None)

@@ -37,13 +37,14 @@ def test_star_import():
     assert set(importlib.import_module("qhydrogen").__all__) <= namespace.keys()
 
 
-# Runs in a fresh interpreter: every command, `verify` included, must
-# leave numpy unimported, and reading a dense matrix must load it.
-_LAZY_NUMPY = """
+# Runs in a fresh interpreter: no command and no library call, the
+# irreps layer included, may import numpy.
+_NO_NUMPY = """
 import contextlib, io, sys
 import qhydrogen, qhydrogen.cli
 from qhydrogen.cli import main
 from qhydrogen.irreps import verify_commutators
+verify_golden, dump_golden = (open(path, encoding="utf-8").read() for path in sys.argv[1:])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
         main(["levels", "--q", "2", "--j-max", "2"]),
@@ -52,7 +53,6 @@ with contextlib.redirect_stdout(io.StringIO()):
         main(["scan", "--j", "2", "--s-min", "-1", "--s-max", "1", "--s-count", "5"]),
     ]
 assert codes == [0, 0, 0, 0], codes
-assert "numpy" not in sys.modules
 # A name bound in qhydrogen.cli (as a profiler's wrapper is) is what
 # verify calls.
 dims = []
@@ -62,13 +62,16 @@ def counted(r, tolerance):
 qhydrogen.cli.verify_commutators = counted
 with contextlib.redirect_stdout(io.StringIO()) as out:
     assert main(["verify", "--q", "1.1", "--j-max", "2"]) == 0
-assert out.getvalue() == open(sys.argv[1], encoding="utf-8").read()
+assert out.getvalue() == verify_golden
 assert dims == [1, 2, 3] and qhydrogen.cli.verify_commutators is counted
-assert "numpy" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert main(["dump-irrep", "--j", "3", "--q", "1.5", "--operator", "iminus"]) == 0
+assert out.getvalue() == dump_golden
 r = qhydrogen.build_irrep(qhydrogen.SpinLabel(2), qhydrogen.DeformationParameter(1.1))
-assert r.dim == 3 and "numpy" not in sys.modules
-assert r.iz.shape == (3, 3)
-assert "numpy" in sys.modules
+assert r.dim == 3
+reports = qhydrogen.verify_so4_limit(qhydrogen.SpinLabel(3), qhydrogen.SpinLabel(2), 1e-12)
+assert len(reports) == 9 and all(rep.passed for rep in reports)
+assert "numpy" not in sys.modules
 print("ok")
 """
 
@@ -90,8 +93,9 @@ def run_module(*args):
     return run_python("-m", "qhydrogen", *args)
 
 
-def test_only_dense_helpers_import_numpy():
-    done = run_python("-c", _LAZY_NUMPY, str(GOLDEN / "verify_q1.1_jmax2.csv"))
+def test_no_command_or_library_call_imports_numpy():
+    done = run_python("-c", _NO_NUMPY, str(GOLDEN / "verify_q1.1_jmax2.csv"),
+                      str(GOLDEN / "dump_irrep_j3_q1.5_iminus.json"))
     assert done.returncode == 0, done.stderr
     assert done.stdout == b"ok\n"
 

@@ -123,6 +123,17 @@ class TestBuildIrrep:
         _, iplus, iminus = ladder_matrices(build_irrep(SpinLabel(5), DeformationParameter(0.7)))
         assert np.array_equal(iminus, iplus.conj().T)
 
+    @pytest.mark.parametrize("d", PARITY_DEFORMATIONS[:4], ids=lambda d: f"s={d.s!r}")
+    def test_lazy_matrices_equal_dense_construction(self, d):
+        # the matrices filled from the ladder against the entrywise construction
+        for tj in (0, 1, 2, 7, 30):
+            r = build_irrep(SpinLabel(tj), d)
+            for built, dense in zip(ladder_matrices(r), dense_matrices(SpinLabel(tj), d)):
+                assert built.dtype == np.complex128
+                assert np.array_equal(built, dense)
+                # signed zeros too: dump-irrep prints the imaginary parts
+                assert built.tobytes() == dense.tobytes()
+
     def test_ladder_is_the_superdiagonal(self):
         r = build_irrep(SpinLabel(9), DeformationParameter(1.7))
         # the stored values are tuples of floats, immutable themselves
@@ -134,9 +145,6 @@ class TestBuildIrrep:
                 r = build_irrep(SpinLabel(tj), d)
                 dense = dense_matrices(SpinLabel(tj), d)
                 assert r.ladder == tuple(np.diagonal(dense[1], 1).real.tolist())
-                # signed zeros too: the same bytes as the entrywise construction
-                for built, expected in zip(ladder_matrices(r), dense):
-                    assert built.tobytes() == expected.tobytes()
 
     def test_overflowing_radicand_gives_finite_ladder(self):
         # At s = 0.5, 2j = 1419, [j+m+1][j-m] overflows for all but the

@@ -111,6 +111,9 @@ class TestGoldenFiles:
             *((f"dump_irrep_j3_q1.5_{op}.json",
                ("dump-irrep", "--j", "3", "--q", "1.5", "--operator", op))
               for op in ("iz", "iplus", "iminus")),
+            # series-branch brackets, half-integer Casimir brackets included
+            ("verify_s1e-6_jmax13.csv",
+             ("verify", "--s", "1e-6", "--j-max", "13", "--format", "csv")),
         ],
     )
     def test_emitter_bytes(self, capsys, golden, args):

@@ -42,6 +42,7 @@ from .irreps import (
     IrrepMatrices,
     VerificationReport,
     build_irrep,
+    build_irreps,
     casimir_identity_report,
     verify_commutators,
     verify_so4_limit,
@@ -64,6 +65,7 @@ __all__ = [
     "TransitionLine",
     "VerificationReport",
     "build_irrep",
+    "build_irreps",
     "casimir_identity_report",
     "degeneracy_summary",
     "denominator",

@@ -20,7 +20,7 @@ from typing import Any, Iterable, Sequence
 
 import click
 
-from .irreps import build_irrep, casimir_identity_report, verify_commutators
+from .irreps import build_irrep, build_irreps, casimir_identity_report, verify_commutators
 from .lines import ScanRow, series_table, splitting_scan
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel
 from .spectrum import (
@@ -445,14 +445,13 @@ def verify(q, s, twice_j_max, tolerance, fmt, output) -> None:
     columns = ["twice_j", "q", "relation", "max_deviation", "tolerance", "passed"]
     rows = []
     failed = 0
-    for tj in range(twice_j_max + 1):
-        r = build_irrep(SpinLabel(tj), d)
+    for r in build_irreps(SpinLabel(twice_j_max), d):
         reports = verify_commutators(r, tolerance)
         reports.append(casimir_identity_report(r, tolerance))
         for rep in reports:
             failed += not rep.passed
-            rows.append((tj, d.q, rep.relation_name, rep.max_abs_deviation, rep.tolerance,
-                         rep.passed))
+            rows.append((r.j.twice_j, d.q, rep.relation_name, rep.max_abs_deviation,
+                         rep.tolerance, rep.passed))
     config = {"command": "verify", "q": d.q, "s": d.s, "twice_j_max": twice_j_max,
               "tolerance": tolerance}
     _write(_render(fmt, config, columns, rows), output)

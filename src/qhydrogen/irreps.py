@@ -23,9 +23,13 @@ and the I+ weights sqrt([j+m+1][j-m]) built from them; no matrix is
 stored or built.  Iz is diagonal and I+- each have one off-diagonal,
 so every relation checked here has nonzeros on one diagonal, and the
 checks run on it in plain float arithmetic, O(2j + 1), reading the
-brackets the irrep holds instead of evaluating them again.  The q = 1
-recombination is a Kronecker sum of two such copies and is checked on
-its factors.  Built values can be shared freely across threads.
+brackets the irrep holds instead of evaluating them again.
+:func:`build_irrep` builds one spin from its own brackets;
+:func:`build_irreps` builds every spin up to j_max from one table of
+[k/2], evaluated once for the whole run, and hands each half-integer
+spin its Casimir brackets too.  The q = 1 recombination is a Kronecker
+sum of two such copies and is checked on its factors.  Built values
+can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -33,14 +37,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
+from .spectrum import _brackets
 
 __all__ = [
     "IrrepMatrices",
     "VerificationReport",
     "build_irrep",
+    "build_irreps",
     "casimir_identity_report",
     "verify_commutators",
     "verify_so4_limit",
@@ -59,14 +65,18 @@ class IrrepMatrices:
     ``ladder`` holds the I+ weights u_k = sqrt([j+m+1][j-m]) =
     sqrt([2j+1-k][k]), k = 1..2j, where column k carries |m> and row
     k-1 carries |m+1>: the one nonzero diagonal of I+, and transposed
-    that of I-.  Both are tuples of floats, and all that the module
-    stores.
+    that of I-.  ``half_brackets`` holds, at half-integer j, the
+    brackets [1/2], [3/2], ..., [j+1] the Casimir check reads, when the
+    builder already had them (:func:`build_irreps` does); it is None
+    otherwise, and the check evaluates them.  These tuples of floats are
+    all that the module stores.
     """
 
     j: SpinLabel
     d: DeformationParameter
     ladder: tuple[float, ...]
     brackets: tuple[float, ...]
+    half_brackets: tuple[float, ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -119,20 +129,14 @@ def _ladder_squares(r: IrrepMatrices) -> list[float]:
     return [0.0, *map(mul, r.ladder, r.ladder), 0.0]
 
 
-def build_irrep(j: SpinLabel, d: DeformationParameter) -> IrrepMatrices:
-    """Construct the ladder weights of Iz, I+, I- on the spin-j module.
-
-    The raising weight between |m> and |m+1> is sqrt([j+m+1][j-m]).  Down
-    the basis [j+m+1] runs through [2j]..[1] and [j-m] through the same
-    brackets in reverse, so each integer bracket is evaluated once,
-    [2j] first, and kept on the irrep for the checks; the radicand is
-    asserted non-negative (guaranteed for real q > 0) rather than
-    clamped.  Where the product of the two brackets overflows although
-    its root is representable, the root is taken factor by factor.
-    """
+def _irrep(
+    j: SpinLabel,
+    d: DeformationParameter,
+    b: tuple[float, ...],
+    half_brackets: tuple[float, ...] | None = None,
+) -> IrrepMatrices:
+    """The irrep whose ladder is built from b[k] = [k], k = 0..max(2j, 1)."""
     tj = j.twice_j
-    # b[k] = [k]; descending, so an overflow names [2j], the largest.
-    b = (0.0, *reversed([qnumber(k, d) for k in range(max(tj, 1), 0, -1)]))
     # Column k = 1..2j holds |m>, row k-1 holds |m+1>: [j+m+1] = [2j+1-k].
     upper, lower = b[tj:0:-1], b[1:tj + 1]
     radicands = list(map(mul, upper, lower))
@@ -145,7 +149,54 @@ def build_irrep(j: SpinLabel, d: DeformationParameter) -> IrrepMatrices:
             math.sqrt(x) * math.sqrt(y) if u == math.inf else u
             for u, x, y in zip(ladder, upper, lower)
         )
-    return IrrepMatrices(j=j, d=d, ladder=ladder, brackets=b)
+    return IrrepMatrices(j=j, d=d, ladder=ladder, brackets=b, half_brackets=half_brackets)
+
+
+def build_irrep(j: SpinLabel, d: DeformationParameter) -> IrrepMatrices:
+    """Construct the ladder weights of Iz, I+, I- on the spin-j module.
+
+    The raising weight between |m> and |m+1> is sqrt([j+m+1][j-m]).  Down
+    the basis [j+m+1] runs through [2j]..[1] and [j-m] through the same
+    brackets in reverse, so each integer bracket is evaluated once,
+    [2j] first, and kept on the irrep for the checks; the radicand is
+    asserted non-negative (guaranteed for real q > 0) rather than
+    clamped.  Where the product of the two brackets overflows although
+    its root is representable, the root is taken factor by factor.
+    """
+    # b[k] = [k]; descending, so an overflow names [2j], the largest.
+    b = (0.0, *reversed([qnumber(k, d) for k in range(max(j.twice_j, 1), 0, -1)]))
+    return _irrep(j, d, b)
+
+
+def build_irreps(j_max: SpinLabel, d: DeformationParameter) -> Iterator[IrrepMatrices]:
+    """Yield the irrep of every spin 2j = 0, 1, ..., 2j_max, in that order.
+
+    One table b[k] = [k/2], k <= max(2 * 2j_max, 2j_max + 2), is
+    evaluated for the whole run, each bracket once.  Spin j reads its
+    integer brackets [k] = b[2k] from it and, at half-integer j, the
+    Casimir's [1/2], ..., [j+1] (``half_brackets``), so checking every
+    spin evaluates no bracket again.  Each irrep equals what
+    :func:`build_irrep` gives, field for field, except that it carries
+    ``half_brackets``.
+
+    The table stops at its first bracket beyond a double.  A spin that
+    reads past that point is built by :func:`build_irrep` instead, and
+    its checks evaluate the Casimir brackets themselves, so the error
+    raised is the one checking that spin alone raises.  Brackets grow
+    with their argument, so no spin before it lacks a bracket, and
+    that spin's own evaluation overflows.
+    """
+    tj_max = j_max.twice_j
+    table, _ = _brackets(max(2 * tj_max, tj_max + 2), d)
+    for tj in range(tj_max + 1):
+        j = SpinLabel(tj)
+        # The spin's last bracket: [2j] at table[2 * 2j], or the
+        # Casimir's [j+1] at table[2j + 2] when 2j is 0 or 1.
+        if len(table) <= max(2 * tj, tj + 2):
+            yield build_irrep(j, d)
+            continue
+        b = (0.0, *table[2:2 * max(tj, 1) + 1:2])
+        yield _irrep(j, d, b, tuple(table[1:tj + 3:2]) if tj % 2 else None)
 
 
 def verify_commutators(r: IrrepMatrices, tol: float) -> list[VerificationReport]:
@@ -182,16 +233,20 @@ def casimir_identity_report(r: IrrepMatrices, tol: float) -> VerificationReport:
     sum a multiple of the identity (docs/derivations.md, section 3).
     Both sides are diagonal, u_k^2 + [m][m+1] on the left, so the check
     runs on the diagonal alone with the bits of the dense product.
-    Integer brackets are read from the irrep; at half-integer j the
-    brackets [j+1], ..., [1/2] are evaluated here, [j+1] first.
-    Raises :class:`QNumberOverflowError` if an entry is not finite.
+    Integer brackets are read from the irrep.  At half-integer j the
+    brackets [j+1], ..., [1/2] are read from ``r.half_brackets`` when
+    the irrep carries them (:func:`build_irreps`), and otherwise
+    evaluated here, [j+1] first.  Raises :class:`QNumberOverflowError`
+    if an entry is not finite.
     """
     tj = r.j.twice_j
     # [j+1], [j], ..., down to [0] or [1/2].
-    if tj % 2:
-        nonnegative = [qnumber(t / 2.0, r.d) for t in range(tj + 2, 0, -2)]
-    else:
+    if tj % 2 == 0:
         nonnegative = r.brackets[tj // 2 + 1::-1]
+    elif r.half_brackets is not None:
+        nonnegative = r.half_brackets[::-1]
+    else:
+        nonnegative = [qnumber(t / 2.0, r.d) for t in range(tj + 2, 0, -2)]
     # [j+1], [j], ..., [-j]: below zero [-x] = -[x], for x from [1/2] or [1] up to [j].
     brackets = [*nonnegative, *(-x for x in nonnegative[tj % 2 - 2:0:-1])]
     products = list(map(mul, brackets[1:], brackets))  # [m][m+1]

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qhydrogen.cli import _CHUNK_ROWS, _FRACTION_COLUMNS, _half, _linspace, _render, main
-from qhydrogen.qnum import DeformationParameter, SpinLabel
+from qhydrogen.irreps import build_irrep, casimir_identity_report, verify_commutators
+from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel
 from qhydrogen.spectrum import energy, level_table
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -354,6 +355,14 @@ class TestDumpIrrep:
         assert value[0] == pytest.approx(math.sqrt(2.5), rel=1e-14)
         assert value[1] == 0
 
+    def test_reads_no_casimir_bracket(self, capsys):
+        # j = 1/2 at s = 500: the ladder reads [1] only; the Casimir's
+        # [3/2] overflows
+        code, out, err = run_cli(capsys, "dump-irrep", "--j", "1", "--s", "500",
+                                 "--operator", "iplus")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["entries"] == [[0, 0], [1, 0], [0, 0], [0, 0]]
+
     def test_iz_is_real_descending(self, capsys):
         _, out, _ = run_cli(capsys, "dump-irrep", "--j", "3", "--q", "1.5",
                             "--operator", "iz")
@@ -405,6 +414,24 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "levels", "--q", "2", "--j-max", "1030")
         assert (code, out) == (2, "")
         assert err == "error: energy denominator is NaN at twice_j=1022, twice_m=1022, q=2.0\n"
+
+    @pytest.mark.parametrize(
+        "s, twice_j_max",
+        [(700.0, 3), (500.0, 3), (-709.0, 4), (3.0, 480), (0.5, 1419),
+         # [35.5] is the first bracket beyond a double, but spin 2j = 36
+         # fails on [36], the first it evaluates
+         (20.2, 40)],
+    )
+    def test_verify_overflow_is_the_per_spin_error(self, capsys, s, twice_j_max):
+        d = DeformationParameter.from_s(s)
+        with pytest.raises(QNumberOverflowError) as per_spin:
+            for tj in range(twice_j_max + 1):
+                r = build_irrep(SpinLabel(tj), d)
+                verify_commutators(r, 1e-11)
+                casimir_identity_report(r, 1e-11)
+        code, out, err = run_cli(capsys, "verify", "--s", str(s), "--j-max", str(twice_j_max))
+        assert (code, out) == (2, "")
+        assert err == f"error: {per_spin.value}\n"
 
     def test_lines_j_max_below_lower_is_validation(self, capsys):
         code, _, _ = run_cli(capsys, "lines", "--lower-j", "4", "--j-max", "2")

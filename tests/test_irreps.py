@@ -18,9 +18,11 @@ from oracles import (
     dense_verify_so4_limit,
     ladder_matrices,
 )
+from qhydrogen.cli import main
 from qhydrogen.irreps import (
     IrrepMatrices,
     build_irrep,
+    build_irreps,
     casimir_identity_report,
     verify_commutators,
     verify_so4_limit,
@@ -190,6 +192,7 @@ class TestBracketsOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
         import qhydrogen.irreps
+        import qhydrogen.spectrum
 
         seen = []
 
@@ -197,7 +200,9 @@ class TestBracketsOnce:
             seen.append(float(x))
             return qnumber(x, d)
 
+        # build_irreps takes its table from spectrum._brackets
         monkeypatch.setattr(qhydrogen.irreps, "qnumber", recorded)
+        monkeypatch.setattr(qhydrogen.spectrum, "qnumber", recorded)
         return seen
 
     @pytest.mark.parametrize("q", [1.0, 1.3, 0.7])
@@ -215,6 +220,15 @@ class TestBracketsOnce:
             if tj % 2:
                 expected |= {t / 2.0 for t in range(1, tj + 3, 2)}
             assert set(calls) == expected, tj
+
+    @pytest.mark.parametrize("q", [1.3, 0.7])
+    def test_verify_run_evaluates_one_table(self, calls, q, capsys):
+        twice_j_max = 40
+        assert main(["verify", "--q", str(q), "--j-max", str(twice_j_max)]) == 0
+        capsys.readouterr()
+        assert len(calls) == len(set(calls)), calls
+        # table[k] = [k/2] up to [2j_max], or the Casimir's [j+1] at 2j_max <= 1
+        assert len(calls) <= max(2 * twice_j_max, twice_j_max + 2) + 1
 
 
 class TestCommutators:
@@ -283,6 +297,36 @@ class TestBandedParity:
         d = DeformationParameter.from_s(s)
         for tj in spins:
             assert all_reports(tj, d, *BANDED) == all_reports(tj, d, *DENSE), tj
+
+    @pytest.mark.parametrize(
+        "d",
+        [*(DeformationParameter(q) for q in (1.0, 1.0 + 1e-9, 1.3, 0.7)),
+         *(DeformationParameter.from_s(s) for s in (1.1, -1.1))],
+        ids=lambda d: f"s={d.s!r}",
+    )
+    def test_run_table_equals_per_spin_path(self, d):
+        def bits(values):
+            # float.hex tells -0.0 from 0.0
+            return None if values is None else [float.hex(x) for x in values]
+
+        def reports(r):
+            found = verify_commutators(r, 1e-11) + [casimir_identity_report(r, 1e-11)]
+            return found, bits(rep.max_abs_deviation for rep in found)
+
+        twice_j_max = 60
+        built = list(build_irreps(SpinLabel(twice_j_max), d))
+        assert [r.j.twice_j for r in built] == list(range(twice_j_max + 1))
+        for r in built:
+            tj = r.j.twice_j
+            alone = build_irrep(SpinLabel(tj), d)
+            assert (r.j, r.d) == (alone.j, alone.d)
+            assert bits(r.ladder) == bits(alone.ladder), tj
+            assert bits(r.brackets) == bits(alone.brackets), tj
+            assert alone.half_brackets is None
+            # the Casimir's [1/2], ..., [j+1] as it evaluates them alone
+            half = [qnumber(t / 2.0, d) for t in range(1, tj + 3, 2)] if tj % 2 else None
+            assert bits(r.half_brackets) == bits(half), tj
+            assert reports(r) == reports(alone), tj
 
     def test_overflow_error_comes_from_the_casimir_bracket(self):
         error = all_reports(1, DeformationParameter.from_s(500.0), *BANDED)

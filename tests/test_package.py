@@ -1,6 +1,7 @@
 """Package contract: public names, the `python -m qhydrogen` entry point, README examples."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -98,6 +99,45 @@ def test_no_command_or_library_call_imports_numpy():
                       str(GOLDEN / "dump_irrep_j3_q1.5_iminus.json"))
     assert done.returncode == 0, done.stderr
     assert done.stdout == b"ok\n"
+
+
+def load_spans():
+    """perfbench/spans.py, the benchmark's tracer, loaded without its harness."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "argv, traced",
+    [
+        (["verify", "--q", "1.3", "--j-max", "12"], "irreps.verify_commutators"),
+        (["dump-irrep", "--j", "3", "--q", "1.5", "--operator", "iplus"],
+         "irreps.build_irrep"),
+    ],
+)
+def test_benchmark_tracer_wraps_every_site(capsys, argv, traced):
+    import qhydrogen.cli
+
+    assert qhydrogen.cli.main(argv) == 0
+    untraced = capsys.readouterr().out
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        # install looks every site up, and raises on a name that is gone
+        tracer.install()
+        assert len(tracer._originals) == len(spans.SITES)
+        for module, attr, original in tracer._originals:
+            assert getattr(module, attr) is not original, (module.__name__, attr)
+        assert qhydrogen.cli.main(argv) == 0
+    finally:
+        tracer.remove()
+    assert capsys.readouterr().out == untraced
+    summary = tracer.summary()
+    assert summary["calls"]["cli.main"] == 1
+    assert summary["calls"][traced] >= 1
+    assert summary["calls"]["qnum.qnumber"] >= 1
 
 
 class TestEntryPoint:

@@ -3,6 +3,7 @@
 import math
 import sys
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -29,6 +30,7 @@ from qhydrogen.irreps import (
 )
 from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
 
+GOLDEN = Path(__file__).parent / "golden"
 Q_GRID = [0.5, 0.9, 1.0, 1.1, 2.0, 5.0]
 
 
@@ -414,6 +416,17 @@ class TestCasimirSymmetrized:
 # in different orders; over every pair with 2j <= 20 their deviations
 # stayed below 2.3e-15 and differed by at most 1.9e-15.
 SO4_ORACLE_BOUND = 16 * sys.float_info.epsilon
+SO4_GOLDEN_PAIRS = [
+    *((tj1, tj2) for tj1 in range(13) for tj2 in range(13)), (20, 19), (200, 199)
+]
+
+
+def so4_bit_lines():
+    return [
+        f"{tj1} {tj2} {rep.passed} {rep.max_abs_deviation.hex()} {rep.relation_name}"
+        for tj1, tj2 in SO4_GOLDEN_PAIRS
+        for rep in verify_so4_limit(SpinLabel(tj1), SpinLabel(tj2), 1e-12)
+    ]
 
 
 class TestSo4Limit:
@@ -505,6 +518,13 @@ class TestSo4Limit:
         assert [rep.max_abs_deviation for rep in reports[:3]] == [
             rep.max_abs_deviation for rep in reports[6:]
         ]
+
+    def test_report_bits_match_golden(self):
+        # The dense oracle holds deviations only to 16 eps; this pins
+        # every bit, one line "2j1 2j2 passed deviation.hex() relation"
+        # per report, at tolerance 1e-12.
+        expected = (GOLDEN / "so4_limit_bits.txt").read_text().splitlines()
+        assert so4_bit_lines() == expected
 
     def test_large_spins_without_the_product_module(self):
         # The product module has dimension 201 * 200 = 40,200 here; one

@@ -27,15 +27,18 @@ brackets the irrep holds instead of evaluating them again.
 :func:`build_irrep` builds one spin from its own brackets;
 :func:`build_irreps` builds every spin up to j_max from one table of
 [k/2], evaluated once for the whole run, and hands each half-integer
-spin its Casimir brackets too.  The q = 1 recombination is a Kronecker
-sum of two such copies and is checked on its factors.  Built values
-can be shared freely across threads.
+spin its Casimir brackets too.  One band kernel serves every check:
+:func:`verify_commutators` reads the [Iz, I+] and [I+, I-] bands from
+it, and :func:`verify_so4_limit` reads the q = 1 recombination, a
+Kronecker sum of two copies, from halves of the same bands, so no
+complex number is formed.  Built values can be shared freely across
+threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -51,10 +54,6 @@ __all__ = [
     "verify_commutators",
     "verify_so4_limit",
 ]
-
-# A banded complex matrix by its nonzeros: (row, column) -> entry.
-_SparseMatrix = dict[tuple[int, int], complex]
-
 
 @dataclass(frozen=True, eq=False)
 class IrrepMatrices:
@@ -199,6 +198,23 @@ def build_irreps(j_max: SpinLabel, d: DeformationParameter) -> Iterator[IrrepMat
         yield _irrep(j, d, b, tuple(table[1:tj + 3:2]) if tj % 2 else None)
 
 
+def _relation_bands(r: IrrepMatrices) -> list[tuple[list[float], Sequence[float]]]:
+    """The (lhs, rhs) bands of [Iz, I+] = +I+ and of [I+, I-] = [2 Iz].
+
+    [Iz, I+] lies on the superdiagonal, m_{k-1} u_k - u_k m_k against
+    u_k; [I+, I-] on the diagonal, u_{k+1}^2 - u_k^2 against the
+    bracket [2 m_k] read from the irrep (docs/derivations.md, section 3).
+    """
+    b, u = r.brackets, r.ladder
+    twice_ms = r.j.twice_m_values()
+    doubled = [b[tm] if tm >= 0 else -b[-tm] for tm in twice_ms]
+    m = [tm / 2.0 for tm in twice_ms]
+    squares = _ladder_squares(r)
+    raised = list(map(sub, map(mul, m, u), map(mul, u, m[1:])))
+    closed = list(map(sub, squares[1:], squares))
+    return [(raised, u), (closed, doubled)]
+
+
 def verify_commutators(r: IrrepMatrices, tol: float) -> list[VerificationReport]:
     """Check the three defining relations on their nonzero diagonals.
 
@@ -207,20 +223,16 @@ def verify_commutators(r: IrrepMatrices, tol: float) -> list[VerificationReport]
     of Iz (the value [2m] at weight m, read from the irrep's brackets).
     Each side has nonzeros on one diagonal only, and the entries there
     are the ones the dense matrix products give, bit for bit
-    (docs/derivations.md, sections 2-3).  Raises
-    :class:`QNumberOverflowError` if an entry is not finite.
+    (docs/derivations.md, sections 2-3).  Every [Iz, I-] entry is the
+    exact negation of an [Iz, I+] entry, so its report is the [Iz, I+]
+    one under its own name.  Raises :class:`QNumberOverflowError` if an
+    entry is not finite.
     """
-    b, u = r.brackets, r.ladder
-    twice_ms = r.j.twice_m_values()
-    doubled = [b[tm] if tm >= 0 else -b[-tm] for tm in twice_ms]
-    m = [tm / 2.0 for tm in twice_ms]
-    squares = _ladder_squares(r)
-    raised = list(map(sub, map(mul, m, u), map(mul, u, m[1:])))  # [Iz, I+], superdiagonal
-    lowered = list(map(sub, map(mul, m[1:], u), map(mul, u, m)))  # [Iz, I-], subdiagonal
-    closed = list(map(sub, squares[1:], squares))  # [I+, I-], diagonal
+    (raised, u), (closed, doubled) = _relation_bands(r)
+    up = _band_report(r, "[Iz,I+] = +I+", raised, u, tol)
     return [
-        _band_report(r, "[Iz,I+] = +I+", raised, u, tol),
-        _band_report(r, "[Iz,I-] = -I-", lowered, [-x for x in u], tol),
+        up,
+        replace(up, relation_name="[Iz,I-] = -I-"),
         _band_report(r, "[I+,I-] = [2Iz]", closed, doubled, tol),
     ]
 
@@ -255,55 +267,16 @@ def casimir_identity_report(r: IrrepMatrices, tol: float) -> VerificationReport:
     return _band_report(r, "I-I+ + [Iz][Iz+1] = [j][j+1] Id", lhs, [products[0]] * r.dim, tol)
 
 
-def _product(a: _SparseMatrix, b: _SparseMatrix) -> _SparseMatrix:
-    """The matrix product, summing over the nonzeros of both factors."""
-    rows: dict[int, list[tuple[int, complex]]] = {}
-    for (k, j), y in b.items():
-        rows.setdefault(k, []).append((j, y))
-    out: _SparseMatrix = {}
-    for (i, k), x in a.items():
-        for j, y in rows.get(k, ()):
-            out[i, j] = out.get((i, j), 0j) + x * y
-    return out
+def _kronecker_sum_max(c: Sequence[float], d: Sequence[float], sign: int) -> float:
+    """Largest |c_i + sign d_k| over every pair (i, k): the largest entry
+    of the diagonal Kronecker sum diag(c) (x) 1 + sign 1 (x) diag(d).
 
-
-def _difference(a: _SparseMatrix, b: _SparseMatrix) -> _SparseMatrix:
-    return {key: a.get(key, 0j) - b.get(key, 0j) for key in a.keys() | b.keys()}
-
-
-def _cartesian(r: IrrepMatrices) -> tuple[_SparseMatrix, _SparseMatrix, _SparseMatrix]:
-    """X = (I+ + I-)/2, Y = (I+ - I-)/2i and Z = Iz by their nonzeros."""
-    x: _SparseMatrix = {}
-    y: _SparseMatrix = {}
-    for k, u in enumerate(r.ladder, 1):
-        x[k - 1, k] = x[k, k - 1] = complex(u / 2.0)
-        y[k - 1, k], y[k, k - 1] = -0.5j * u, 0.5j * u
-    z = {(k, k): complex(tm / 2.0) for k, tm in enumerate(r.j.twice_m_values())}
-    return x, y, z
-
-
-def _relation_factors(
-    a: _SparseMatrix, b: _SparseMatrix, c: _SparseMatrix
-) -> tuple[_SparseMatrix, _SparseMatrix, _SparseMatrix]:
-    """[A, B], i C and the residual [A, B] - i C on one copy."""
-    closed = _difference(_product(a, b), _product(b, a))
-    image = {key: 1j * v for key, v in c.items()}
-    return closed, image, _difference(closed, image)
-
-
-def _kronecker_sum_max(
-    c: _SparseMatrix, d: _SparseMatrix, sign: int, dims: tuple[int, int]
-) -> float:
-    """Largest |entry| of C (x) 1 + sign 1 (x) D, read from the factors.
-
-    Off the diagonal of either factor an entry of the sum is one entry
-    of C or of D, up to sign; on both diagonals it is C_ii + sign D_kk,
-    for every pair (docs/derivations.md, section 9).
+    Rounding is monotone, so the rounded sum is largest at the largest
+    c_i and sign d_k and smallest at the smallest; two sums decide the
+    maximum exactly (docs/derivations.md, section 9).
     """
-    off = [abs(v) for (i, k), v in (*c.items(), *d.items()) if i != k]
-    first = {c.get((i, i), 0j) for i in range(dims[0])}
-    second = {sign * d.get((k, k), 0j) for k in range(dims[1])}
-    return max(max(off, default=0.0), max(abs(x + y) for x in first for y in second))
+    high, low = (max(d), min(d)) if sign > 0 else (-min(d), -max(d))
+    return max(abs(max(c) + high), abs(min(c) + low))
 
 
 def verify_so4_limit(j1: SpinLabel, j2: SpinLabel, tol: float) -> list[VerificationReport]:
@@ -317,32 +290,34 @@ def verify_so4_limit(j1: SpinLabel, j2: SpinLabel, tol: float) -> list[Verificat
     of Cartesian components close into the rotation/rescaled-Runge-Lenz
     pattern: [La, Lb] = i e_abc Lc, [La, M~b] = i e_abc M~c and
     [M~a, M~b] = i e_abc Lc.  One report per cyclic pair per family,
-    nine in total.  Both sides of each relation, and its residual, are
-    Kronecker sums C (x) 1 +- 1 (x) D of banded single-copy matrices:
-    the residual's factors are the single-copy residuals [A_a, A_b] -
-    i A_c, added for the L L and M~ M~ families and subtracted for L M~.
-    So the product module is never built; each maximum is read from the
-    factors in O(n1 n2), and the L L and M~ M~ reports agree bit for bit
+    nine in total.  Each side of a relation, and its residual, is a
+    Kronecker sum C (x) 1 +- 1 (x) D of single-copy matrices (+ for the
+    L L and M~ M~ families, - for L M~), and each single-copy matrix is
+    exactly half a band of :func:`verify_commutators`, up to a factor
+    +-1 or +-i: [A_x, A_y] - i A_z is i/2 ([I+, I-] - 2 Iz), on the
+    diagonal, and [A_y, A_z] - i A_x and [A_z, A_x] - i A_y carry the
+    [Iz, I+] residual off it.  So neither the product module nor a
+    complex number is formed; the L L and M~ M~ reports agree, and the
+    [.y,.z] and [.z,.x] reports of all three families share one value
     (docs/derivations.md, section 9).
     """
     undeformed = DeformationParameter(1.0)
-    copies = [build_irrep(j, undeformed) for j in (j1, j2)]
-    dims = (copies[0].dim, copies[1].dim)
-    cartesian = [_cartesian(r) for r in copies]
+    first, second = (
+        [(lhs, rhs, list(map(sub, lhs, rhs)))
+         for lhs, rhs in _relation_bands(build_irrep(j, undeformed))]
+        for j in (j1, j2)
+    )
+    # Off the diagonal every entry of either copy is an entry of the sum.
+    across = [max(_max_abs(f), _max_abs(g)) / 2.0 for f, g in zip(first[0], second[0])]
+    # On it every pair of the two copies' diagonal entries is summed.
+    paired = {sign: [_kronecker_sum_max(f, g, sign) / 2.0 for f, g in zip(first[1], second[1])]
+              for sign in (1, -1)}
 
     axes = "xyz"
     cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    # sign -> per cyclic pair, the (lhs, rhs, residual) maxima.
-    maxima: dict[int, list[list[float]]] = {1: [], -1: []}
-    for a, b, c in cyclic:
-        first, second = (_relation_factors(g[a], g[b], g[c]) for g in cartesian)
-        for sign, found in maxima.items():
-            found.append([_kronecker_sum_max(f, g, sign, dims) for f, g in zip(first, second)])
-
     reports = []
     for family, sign in (("[L{},L{}] = i L{}", 1), ("[L{},M{}] = i M{}", -1),
                          ("[M{},M{}] = i L{}", 1)):
-        for (a, b, c), (lhs, rhs, residual) in zip(cyclic, maxima[sign]):
-            name = family.format(axes[a], axes[b], axes[c])
-            reports.append(_verdict(name, lhs, rhs, residual, tol))
+        for (a, b, c), maxima in zip(cyclic, (paired[sign], across, across)):
+            reports.append(_verdict(family.format(axes[a], axes[b], axes[c]), *maxima, tol))
     return reports

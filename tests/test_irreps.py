@@ -485,27 +485,35 @@ class TestSo4Limit:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_kronecker_sum_maximum_is_exact(self, sign):
-        # C (x) 1 + sign 1 (x) D for banded complex factors, each entry
-        # nonzero with probability 3/4; the factors decide every maximum.
+        # diag(C) (x) 1 + sign 1 (x) diag(D): random diagonals of mixed
+        # magnitude, so the sums round, and the diagonals the so(4)
+        # check pairs, from true and skewed q = 1 ladders.
         rng = np.random.default_rng(20261018)
 
-        def banded(n):
-            return {
-                (i, k): complex(*rng.normal(size=2)) * float(rng.integers(1, 100))
-                for i in range(n) for k in range(max(0, i - 2), min(n, i + 3))
-                if rng.random() < 0.75
-            }
+        def diagonal(n):
+            return list(rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n))
 
-        for n1, n2 in [(1, 1), (1, 4), (4, 1), (2, 3), (5, 6), (9, 7)] * 5:
-            c, d = banded(n1), banded(n2)
-            dense = [np.zeros((n, n), dtype=np.complex128) for n in (n1, n2)]
-            for a, sparse in zip(dense, (c, d)):
-                for key, v in sparse.items():
-                    a[key] = v
-            total = np.kron(dense[0], np.eye(n2)) + sign * np.kron(np.eye(n1), dense[1])
-            found = qhydrogen.irreps._kronecker_sum_max(c, d, sign, (n1, n2))
-            # abs as the library takes it; numpy's may differ in the last bit
-            assert found == max(abs(complex(v)) for v in total.flat), (n1, n2)
+        def paired(tj):
+            r = build_irrep(SpinLabel(tj), DeformationParameter(1.0))
+            skewed = IrrepMatrices(
+                r.j, r.d, tuple(u * (1.0 + 0.01 * k) for k, u in enumerate(r.ladder)), r.brackets
+            )
+            # [I+, I-] and its residual against [2 Iz], as verify_so4_limit pairs them
+            bands = []
+            for irrep in (r, skewed):
+                closed, doubled = qhydrogen.irreps._relation_bands(irrep)[1]
+                bands += [closed, [x - y for x, y in zip(closed, doubled)]]
+            return bands
+
+        shapes = [(1, 1), (1, 4), (4, 1), (2, 3), (5, 6), (9, 7)]
+        factors = [(diagonal(n1), diagonal(n2)) for n1, n2 in shapes * 5]
+        factors += [(c, d) for tj1, tj2 in [(0, 3), (3, 0), (1, 2), (6, 5), (8, 6)]
+                    for c, d in zip(paired(tj1), paired(tj2))]
+        for c, d in factors:
+            n1, n2 = len(c), len(d)
+            total = np.kron(np.diag(c), np.eye(n2)) + sign * np.kron(np.eye(n1), np.diag(d))
+            found = qhydrogen.irreps._kronecker_sum_max(c, d, sign)
+            assert found == float(np.max(np.abs(total))), (n1, n2)
 
     def test_every_pair_up_to_2j_20_passes(self):
         for tj1 in range(21):

@@ -140,6 +140,24 @@ def test_benchmark_tracer_wraps_every_site(capsys, argv, traced):
     assert summary["calls"]["qnum.qnumber"] >= 1
 
 
+def test_benchmark_tracer_wraps_the_so4_library_call():
+    import qhydrogen
+    from qhydrogen import SpinLabel
+
+    untraced = qhydrogen.verify_so4_limit(SpinLabel(5), SpinLabel(4), 1e-12)
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+        traced = qhydrogen.verify_so4_limit(SpinLabel(5), SpinLabel(4), 1e-12)
+    finally:
+        tracer.remove()
+    assert traced == untraced
+    calls = tracer.summary()["calls"]
+    # one span per call, and both copies through the wrapped build_irrep
+    assert calls["irreps.verify_so4_limit"] == 1
+    assert calls["irreps.build_irrep"] == 2
+
+
 class TestEntryPoint:
     def test_levels_matches_golden(self):
         done = run_module("levels", "--q", "2", "--j-max", "2")

@@ -1,11 +1,17 @@
 """Command-line front end: level tables, states, lines, scans, algebra checks.
 
+The six commands read their options from one table (`_COMMANDS`) with a
+parser of the standard library alone.  A flag takes its value as
+``--flag value`` or ``--flag=value``; ``--help`` after the tool name or
+after a command prints help made from the table to stdout.
+
 Output is byte-deterministic for a fixed invocation: floats are printed
 with 15 significant digits and a lowercase exponent, column orders are
 fixed, and rows are emitted in the documented sort orders.  Data goes
 to stdout (or --output); diagnostics go to stderr.  Exit status is 0 on
-success, 1 on a validation error and 2 on a computational error
-(including a failed `verify` run, so it can gate CI).
+success, 1 on a validation error (printed as "Error: <message>") and 2
+on a computational error (printed as "error: <message>"), including a
+failed `verify` run, so it can gate CI.
 """
 
 from __future__ import annotations
@@ -14,12 +20,11 @@ import csv
 import gc
 import io
 import math
+import os
 import re
 import sys
 from types import NoneType
-from typing import Any, Iterable, Sequence
-
-import click
+from typing import Any, Callable, Iterable, Sequence
 
 from .irreps import build_irrep, build_irreps, casimir_identity_report, verify_commutators
 from .lines import ScanRow, series_table, splitting_scan
@@ -32,7 +37,7 @@ from .spectrum import (
     level_table,
 )
 
-__all__ = ["cli", "main"]
+__all__ = ["main"]
 
 # Each --units choice: the text of the unit column and the factor from
 # Rydberg.  The library works in Rydberg; output is converted here only.
@@ -75,6 +80,10 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
         points = [i * step + start for i in range(num)]
     points[-1] = stop
     return points
+
+
+class UsageError(Exception):
+    """A refused invocation: `main` prints "Error: <message>" and returns 1."""
 
 
 class VerificationFailedError(Exception):
@@ -262,61 +271,20 @@ def _write(document: str, output: str | None) -> None:
         with open(output, "w", encoding="utf-8", newline="") as handle:
             handle.write(document)
     except OSError as exc:
-        raise click.FileError(output, hint=exc.strerror) from None
+        raise UsageError(f"Could not open file {output!r}: {exc.strerror}") from None
 
 
 def _resolve_deformation(q: float | None, s: float | None) -> DeformationParameter:
     if q is not None and s is not None:
-        raise click.UsageError("--q and --s are mutually exclusive")
+        raise UsageError("--q and --s are mutually exclusive")
     try:
         if s is not None:
             return DeformationParameter.from_s(s)
         return DeformationParameter(1.0 if q is None else q)
     except (TypeError, ValueError) as exc:
-        raise click.UsageError(str(exc)) from None
+        raise UsageError(str(exc)) from None
 
 
-def _deformation_options(f):
-    f = click.option("--q", type=float, default=None,
-                     help="Deformation q > 0 (default 1, the undeformed case).")(f)
-    f = click.option("--s", type=float, default=None,
-                     help="Deformation strength s = ln q; excludes --q.")(f)
-    return f
-
-
-def _format_option(f):
-    return click.option("--format", "fmt", type=click.Choice(["csv", "json", "table"]),
-                        default="csv", show_default=True, help="Output document format.")(f)
-
-
-def _units_option(f):
-    return click.option("--units", type=click.Choice(sorted(_UNIT_FLAGS)),
-                        default="rydberg", show_default=True, help="Energy output unit.")(f)
-
-
-def _output_option(f):
-    return click.option("--output", type=click.Path(dir_okay=False, writable=True),
-                        default=None, help="Write to this file instead of stdout.")(f)
-
-
-@click.group()
-def cli() -> None:
-    """Deformed hydrogen bound-state spectrum toolkit.
-
-    Half-integer spins are passed in exact twice-j form: --j-max 3
-    means j = 3/2.  Pretty tables render them back as fractions.
-    """
-
-
-@cli.command()
-@_deformation_options
-@click.option("--j-max", "twice_j_max", type=click.IntRange(min=0), default=8,
-              show_default=True, help="Largest twice-j to include.")
-@click.option("--mode", type=click.Choice(["deformed", "undeformed"]), default="deformed",
-              show_default=True)
-@_units_option
-@_format_option
-@_output_option
 def levels(q, s, twice_j_max, mode, units, fmt, output) -> None:
     """Bound-level table for all spins up to --j-max."""
     d = _resolve_deformation(q, s)
@@ -333,13 +301,6 @@ def levels(q, s, twice_j_max, mode, units, fmt, output) -> None:
     _write(_render(fmt, config, columns, rows), output)
 
 
-@cli.command()
-@click.option("--j", "twice_j", type=click.IntRange(min=0), required=True,
-              help="Spin as twice-j (3 means j = 3/2).")
-@click.option("--mode", type=click.Choice(["deformed", "undeformed"]), default="deformed",
-              show_default=True)
-@_format_option
-@_output_option
 def states(twice_j, mode, fmt, output) -> None:
     """Enumerate the coupled (m, p) states at one spin."""
     state_list = enumerate_states(SpinLabel(twice_j), mode)
@@ -349,17 +310,6 @@ def states(twice_j, mode, fmt, output) -> None:
     _write(_render(fmt, config, columns, rows), output)
 
 
-@cli.command()
-@_deformation_options
-@click.option("--j-max", "twice_j_max", type=click.IntRange(min=0), default=8,
-              show_default=True, help="Largest twice-j for upper levels.")
-@click.option("--lower-j", "lower_twice_j", type=click.IntRange(min=0), default=0,
-              show_default=True, help="Lower level spin as twice-j.")
-@click.option("--lower-m", "lower_twice_abs_m", type=click.IntRange(min=0), default=0,
-              show_default=True, help="Lower level |m| as twice the value.")
-@_units_option
-@_format_option
-@_output_option
 def lines(q, s, twice_j_max, lower_twice_j, lower_twice_abs_m, units, fmt, output) -> None:
     """Series of lines from all levels above a lower level down to it."""
     d = _resolve_deformation(q, s)
@@ -368,7 +318,7 @@ def lines(q, s, twice_j_max, lower_twice_j, lower_twice_abs_m, units, fmt, outpu
         table = series_table(SpinLabel(lower_twice_j), lower_twice_abs_m,
                              SpinLabel(twice_j_max), d)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+        raise UsageError(str(exc)) from None
     columns = ["upper_twice_j", "upper_twice_abs_m", "lower_twice_j", "lower_twice_abs_m",
                "delta_energy", "unit", "wavenumber_per_cm", "wavelength_nm"]
     rows = [
@@ -382,16 +332,6 @@ def lines(q, s, twice_j_max, lower_twice_j, lower_twice_abs_m, units, fmt, outpu
     _write(_render(fmt, config, columns, rows), output)
 
 
-@cli.command()
-@click.option("--j", "twice_j", type=click.IntRange(min=0), required=True,
-              help="Spin as twice-j.")
-@click.option("--s-values", "s_values_text", type=str, default=None,
-              help="Comma-separated explicit s grid; overrides --s-min/--s-max/--s-count.")
-@click.option("--s-min", type=float, default=0.0, show_default=True)
-@click.option("--s-max", type=float, default=0.5, show_default=True)
-@click.option("--s-count", type=click.IntRange(min=1), default=11, show_default=True)
-@_format_option
-@_output_option
 def scan(twice_j, s_values_text, s_min, s_max, s_count, fmt, output) -> None:
     """Splitting of each |m| sublevel away from -1/n^2 versus s = ln q.
 
@@ -402,21 +342,21 @@ def scan(twice_j, s_values_text, s_min, s_max, s_count, fmt, output) -> None:
         try:
             s_values = [float(tok) for tok in s_values_text.split(",") if tok.strip()]
         except ValueError:
-            raise click.UsageError(f"--s-values is not a comma-separated float list: "
-                                   f"{s_values_text!r}") from None
+            raise UsageError(f"--s-values is not a comma-separated float list: "
+                             f"{s_values_text!r}") from None
         if not s_values:
-            raise click.UsageError("--s-values contained no values")
+            raise UsageError("--s-values contained no values")
         for value in s_values:
             if not math.isfinite(value):
-                raise click.UsageError(f"--s-values must be finite, got {value!r}")
+                raise UsageError(f"--s-values must be finite, got {value!r}")
     else:
         for name, value in (("--s-min", s_min), ("--s-max", s_max)):
             if not math.isfinite(value):
-                raise click.UsageError(f"{name} must be finite, got {value!r}")
+                raise UsageError(f"{name} must be finite, got {value!r}")
         if not math.isfinite(s_max - s_min):
             # The grid would hold inf - inf and 0 * inf points (nan).
-            raise click.UsageError(f"--s-min {s_min!r} and --s-max {s_max!r} are too far "
-                                   f"apart: their difference overflows")
+            raise UsageError(f"--s-min {s_min!r} and --s-max {s_max!r} are too far "
+                             f"apart: their difference overflows")
         s_values = _linspace(s_min, s_max, s_count)
     # The ScanRow fields are the columns, so rows render as they come.
     rows = splitting_scan(SpinLabel(twice_j), s_values)
@@ -425,14 +365,6 @@ def scan(twice_j, s_values_text, s_min, s_max, s_count, fmt, output) -> None:
     _write(_render(fmt, config, columns, rows), output)
 
 
-@cli.command()
-@_deformation_options
-@click.option("--j-max", "twice_j_max", type=click.IntRange(min=0), default=8,
-              show_default=True, help="Check every twice-j up to this.")
-@click.option("--tolerance", type=float, default=1e-11, show_default=True,
-              help="Maximum allowed (scale-normalized) deviation.")
-@_format_option
-@_output_option
 def verify(q, s, twice_j_max, tolerance, fmt, output) -> None:
     """Verify commutation relations and the Casimir identity numerically.
 
@@ -441,7 +373,7 @@ def verify(q, s, twice_j_max, tolerance, fmt, output) -> None:
     """
     if not (tolerance > 0.0 and math.isfinite(tolerance)):
         # An infinite tolerance would pass every relation.
-        raise click.UsageError(f"--tolerance must be finite and positive, got {tolerance!r}")
+        raise UsageError(f"--tolerance must be finite and positive, got {tolerance!r}")
     d = _resolve_deformation(q, s)
     columns = ["twice_j", "q", "relation", "max_deviation", "tolerance", "passed"]
     rows = []
@@ -462,12 +394,6 @@ def verify(q, s, twice_j_max, tolerance, fmt, output) -> None:
         )
 
 
-@cli.command("dump-irrep")
-@_deformation_options
-@click.option("--j", "twice_j", type=click.IntRange(min=0), required=True,
-              help="Spin as twice-j.")
-@click.option("--operator", type=click.Choice(["iz", "iplus", "iminus"]), required=True)
-@_output_option
 def dump_irrep(q, s, twice_j, operator, output) -> None:
     """Dump one generator matrix as JSON ([re, im] pairs, row-major)."""
     d = _resolve_deformation(q, s)
@@ -498,29 +424,225 @@ def dump_irrep(q, s, twice_j, operator, output) -> None:
     _write(document, output)
 
 
+# -- the option table and its parser ------------------------------------
+#
+# Each command maps to its function and its options; each option maps a
+# flag to (keyword, converter, default, help).  A converter is a tuple of
+# choices or a function from the flag's text to its value that raises
+# ValueError with the reason the text is refused.  The default is not
+# converted; _REQUIRED marks an option without one.
+
+_REQUIRED = object()
+
+
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid float.") from None
+
+
+def _at_least(minimum: int) -> Callable[[str], int]:
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a valid integer range.") from None
+        if value < minimum:
+            raise ValueError(f"{value} is not in the range x>={minimum}.")
+        return value
+    return convert
+
+
+def _file(text: str) -> str:
+    """An --output path, refused before the command runs if it is a directory."""
+    if os.path.isdir(text):
+        raise ValueError(f"File {text!r} is a directory.")
+    return text
+
+
+_DEFORMATION = {
+    "--q": ("q", _float, None, "Deformation q > 0 (default 1, the undeformed case)."),
+    "--s": ("s", _float, None, "Deformation strength s = ln q; excludes --q."),
+}
+_MODE = {"--mode": ("mode", ("deformed", "undeformed"), "deformed", "")}
+_UNITS = {"--units": ("units", tuple(sorted(_UNIT_FLAGS)), "rydberg", "Energy output unit.")}
+_FORMAT = {"--format": ("fmt", ("csv", "json", "table"), "csv", "Output document format.")}
+_OUTPUT = {"--output": ("output", _file, None, "Write to this file instead of stdout.")}
+
+_COMMANDS = {
+    "levels": (levels, {
+        **_DEFORMATION,
+        "--j-max": ("twice_j_max", _at_least(0), 8, "Largest twice-j to include."),
+        **_MODE, **_UNITS, **_FORMAT, **_OUTPUT,
+    }),
+    "states": (states, {
+        "--j": ("twice_j", _at_least(0), _REQUIRED, "Spin as twice-j (3 means j = 3/2)."),
+        **_MODE, **_FORMAT, **_OUTPUT,
+    }),
+    "lines": (lines, {
+        **_DEFORMATION,
+        "--j-max": ("twice_j_max", _at_least(0), 8, "Largest twice-j for upper levels."),
+        "--lower-j": ("lower_twice_j", _at_least(0), 0, "Lower level spin as twice-j."),
+        "--lower-m": ("lower_twice_abs_m", _at_least(0), 0,
+                      "Lower level |m| as twice the value."),
+        **_UNITS, **_FORMAT, **_OUTPUT,
+    }),
+    "scan": (scan, {
+        "--j": ("twice_j", _at_least(0), _REQUIRED, "Spin as twice-j."),
+        "--s-values": ("s_values_text", str, None,
+                       "Comma-separated explicit s grid; overrides --s-min/--s-max/--s-count."),
+        "--s-min": ("s_min", _float, 0.0, ""),
+        "--s-max": ("s_max", _float, 0.5, ""),
+        "--s-count": ("s_count", _at_least(1), 11, ""),
+        **_FORMAT, **_OUTPUT,
+    }),
+    "verify": (verify, {
+        **_DEFORMATION,
+        "--j-max": ("twice_j_max", _at_least(0), 8, "Check every twice-j up to this."),
+        "--tolerance": ("tolerance", _float, 1e-11,
+                        "Maximum allowed (scale-normalized) deviation."),
+        **_FORMAT, **_OUTPUT,
+    }),
+    "dump-irrep": (dump_irrep, {
+        **_DEFORMATION,
+        "--j": ("twice_j", _at_least(0), _REQUIRED, "Spin as twice-j."),
+        "--operator": ("operator", ("iz", "iplus", "iminus"), _REQUIRED, ""),
+        **_OUTPUT,
+    }),
+}
+
+_TOOL_HELP = """\
+Deformed hydrogen bound-state spectrum toolkit.
+
+Half-integer spins are passed in exact twice-j form: --j-max 3
+means j = 3/2.  Pretty tables render them back as fractions.
+Run "qhydrogen COMMAND --help" for the options of one command."""
+
+
+def _help(command: str | None) -> str:
+    """The --help text of the tool (``None``) or of one command."""
+    if command is None:
+        names = {name: fn.__doc__.split("\n", 1)[0] for name, (fn, _) in _COMMANDS.items()}
+        usage, doc, heading = "COMMAND [OPTIONS]", _TOOL_HELP, "Commands"
+    else:
+        fn, options = _COMMANDS[command]
+        names = {}
+        for flag, (_, convert, default, text) in options.items():
+            if isinstance(convert, tuple):
+                metavar = "[" + "|".join(convert) + "]"
+            else:
+                metavar = {_float: "FLOAT", str: "TEXT", _file: "FILE"}.get(convert, "INTEGER")
+            if default is _REQUIRED:
+                text += "  [required]"
+            elif default is not None:
+                text += f"  [default: {default}]"
+            names[f"{flag} {metavar}"] = text.strip()
+        names["--help"] = "Show this message and exit."
+        usage, heading = f"{command} [OPTIONS]", "Options"
+        doc = "\n".join(line.strip() for line in fn.__doc__.splitlines()).strip()
+    width = max(map(len, names))
+    listing = "".join(f"\n  {name.ljust(width)}  {text}".rstrip() for name, text in names.items())
+    return f"Usage: qhydrogen {usage}\n\n{doc}\n\n{heading}:{listing}\n"
+
+
+def _parse(argv: Sequence[str]) -> tuple[Callable[..., None], dict[str, Any]] | None:
+    """The command function and its keyword arguments for ``argv``.
+
+    Returns None once --help has been printed.  A flag takes its value
+    as ``--flag value`` or ``--flag=value``; the value is the next token
+    as it is, even one that starts with "-", and the last of a repeated
+    flag wins.  Values are converted in the order their flags first
+    appear, then the defaults fill in.
+    """
+    if argv[:1] == ["--help"]:
+        sys.stdout.write(_help(None))
+        return None
+    if not argv:
+        raise UsageError("Missing command.")
+    name, *tokens = argv
+    if name not in _COMMANDS:
+        raise UsageError(f"No such {'option' if name[:1] == '-' else 'command'} {name!r}.")
+    fn, options = _COMMANDS[name]
+    given: dict[str, str] = {}
+    extra: list[str] = []
+    wants_help = False
+    rest = iter(tokens)
+    for token in rest:
+        if token == "--":
+            extra.extend(rest)
+        elif token[:1] != "-" or token == "-":
+            extra.append(token)
+        else:
+            flag, eq, value = token.partition("=")
+            if flag == "--help":
+                if eq:
+                    raise UsageError("Option '--help' does not take a value.")
+                wants_help = True
+            elif flag not in options:
+                raise UsageError(f"No such option {flag!r}.")
+            elif eq:
+                given[flag] = value
+            else:
+                value = next(rest, None)
+                if value is None:
+                    raise UsageError(f"Option {flag!r} requires an argument.")
+                given[flag] = value
+    if wants_help:
+        sys.stdout.write(_help(name))
+        return None
+    kwargs = {}
+    for flag, text in given.items():
+        dest, convert = options[flag][:2]
+        try:
+            if isinstance(convert, tuple):
+                if text not in convert:
+                    raise ValueError(f"{text!r} is not one of {', '.join(map(repr, convert))}.")
+                kwargs[dest] = text
+            else:
+                kwargs[dest] = convert(text)
+        except ValueError as exc:
+            raise UsageError(f"Invalid value for {flag!r}: {exc}") from None
+    for flag, (dest, convert, default, _) in options.items():
+        if flag in given:
+            continue
+        if default is _REQUIRED:
+            message = f"Missing option {flag!r}."
+            if isinstance(convert, tuple):
+                message += " Choose from:\n\t" + ",\n\t".join(convert)
+            raise UsageError(message)
+        kwargs[dest] = default
+    if extra:
+        plural = "s" if len(extra) > 1 else ""
+        raise UsageError(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
+    return fn, kwargs
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code (0, 1 or 2, as documented).
 
-    The command runs with the cyclic garbage collector paused.  A table
-    command keeps 10^4-10^5 row tuples alive, which the collector would
-    scan again and again; the rows form no reference cycles, so
-    reference counting alone frees them.  The collector is turned back
-    on at every exit, and only if it was on when ``main`` was called.
+    ``argv`` defaults to ``sys.argv[1:]``.  The command runs with the
+    cyclic garbage collector paused.  A table command keeps 10^4-10^5
+    row tuples alive, which the collector would scan again and again;
+    the rows form no reference cycles, so reference counting alone
+    frees them.  The collector is turned back on at every exit, and
+    only if it was on when ``main`` was called.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        if parsed is not None:
+            command, kwargs = parsed
+            command(**kwargs)
+    except KeyboardInterrupt:
+        print("\naborted", file=sys.stderr)
         return 1
-    except click.ClickException as exc:
-        exc.show()
+    except UsageError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
         return 1
     except (NonPositiveDenominatorError, QNumberOverflowError, VerificationFailedError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         if enabled:

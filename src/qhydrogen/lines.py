@@ -180,6 +180,9 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
             continue
         b, overflow = _brackets(tj + 2, d, 2)
         if overflow is not None:
+            # The error's traceback reaches back to this frame, and with it
+            # to `rows`; keeping it would leave the rows in a reference cycle.
+            overflow = None
             rows.extend(ScanRow(s, d.q, tj, tam, None, None, "overflow") for tam in twice_abs_ms)
             continue
         for tam, value in _denominators(tj, b):

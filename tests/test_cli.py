@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -541,8 +542,6 @@ class TestExitCodes:
         assert code == 0
         assert "overflow" in capsys.readouterr().out or argv[0] != "scan"
 
-    @pytest.mark.xfail(strict=True, reason="the bracket overflow that splitting_scan keeps "
-                       "ties its frame, and with it the row list, into a reference cycle")
     def test_scan_past_a_bracket_overflow_leaves_no_reference_cycles(self, capsys):
         # q = e^700 fits, but [2] does not: the point is flagged overflow
         with collector(True):
@@ -552,6 +551,81 @@ class TestExitCodes:
         assert code == 0
         assert "overflow" in capsys.readouterr().out
         assert garbage == 0
+
+
+# Every flag of each command, as its --help must name it.
+_FLAGS = {
+    "levels": ["--q", "--s", "--j-max", "--mode", "--units", "--format", "--output"],
+    "states": ["--j", "--mode", "--format", "--output"],
+    "lines": ["--q", "--s", "--j-max", "--lower-j", "--lower-m", "--units", "--format",
+              "--output"],
+    "scan": ["--j", "--s-values", "--s-min", "--s-max", "--s-count", "--format", "--output"],
+    "verify": ["--q", "--s", "--j-max", "--tolerance", "--format", "--output"],
+    "dump-irrep": ["--q", "--s", "--j", "--operator", "--output"],
+}
+
+
+class TestParser:
+    """How argv becomes a command call, whatever parses it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate"],
+            ["levels", "extra"],
+            ["levels", "--q"],
+            ["levels", "--j-max", "-1"],
+            ["scan", "--j", "1", "--s-count", "0"],
+            ["levels", "--format", "xml"],
+            ["states"],
+            ["levels", "--j", "1"],
+        ],
+        ids=["no-command", "unknown-command", "extra-argument", "missing-value",
+             "negative-j-max", "zero-s-count", "unknown-format", "missing-j", "unknown-flag"],
+    )
+    def test_refused_invocation_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err and "Traceback" not in err
+
+    def test_output_into_a_directory_is_refused_before_the_command_runs(self, capsys, tmp_path):
+        # q = 1e300 would exit 2 in the computation; the path is refused first
+        code, out, err = run_cli(capsys, "levels", "--q", "1e300", "--j-max", "8",
+                                 "--output", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert "is a directory" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, spaced",
+        [
+            (["levels", "--q=2", "--j-max=1"], ["levels", "--q", "2", "--j-max", "1"]),
+            (["levels", "--j-max", "5", "--q", "2", "--j-max", "1"],
+             ["levels", "--q", "2", "--j-max", "1"]),
+            # a value that starts with "-" is still the flag's value
+            (["scan", "--j", "2", "--s-values=-1e-05,0.2", "--format", "json"],
+             ["scan", "--j", "2", "--s-values", "-1e-05,0.2", "--format", "json"]),
+            (["levels", "--s=-1e-07", "--format", "json"],
+             ["levels", "--s", "-1e-07", "--format", "json"]),
+        ],
+        ids=["equals", "repeated-flag", "negative-s-values", "negative-s"],
+    )
+    def test_same_bytes_as_the_spaced_form(self, capsys, argv, spaced):
+        code, out, err = run_cli(capsys, *spaced)
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, *argv) == (code, out, err)
+        if "--s" in spaced:
+            assert json.loads(out)["config"]["s"] == -1e-07
+        if "--s-values" in spaced:
+            assert [row["s"] for row in json.loads(out)["rows"]][::2] == [-1e-05, 0.2]
+
+    @pytest.mark.parametrize("command", list(_FLAGS))
+    def test_help_names_every_flag(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
+        assert set(_FLAGS[command]) <= named
 
 
 class TestLinesCommand:

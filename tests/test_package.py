@@ -101,6 +101,36 @@ def test_no_command_or_library_call_imports_numpy():
     assert done.stdout == b"ok\n"
 
 
+# Runs in a fresh interpreter in which click cannot be imported: the
+# CLI parses its own options and needs no package outside the standard
+# library.
+_NO_CLICK = """
+import contextlib, io, sys
+sys.modules["click"] = None
+from qhydrogen.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in (
+        ["levels", "--q", "2", "--j-max", "2"],
+        ["states", "--j", "3", "--format", "table"],
+        ["lines", "--q", "1.3", "--j-max", "3", "--format", "json"],
+        ["scan", "--j", "2", "--s-values", "-0.1,0,0.1"],
+        ["verify", "--q", "1.1", "--j-max", "2"],
+        ["dump-irrep", "--j", "3", "--q", "1.5", "--operator", "iminus"],
+    )]
+assert codes == [0] * 6, codes
+print("ok")
+"""
+
+
+def test_cli_needs_no_third_party_package():
+    done = run_python("-c", _NO_CLICK)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"ok\n"
+    done = run_python("-c", "import sys, qhydrogen.cli; print('click' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"False\n"
+
+
 def load_spans():
     """perfbench/spans.py, the benchmark's tracer, loaded without its harness."""
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")

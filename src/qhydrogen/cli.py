@@ -555,12 +555,12 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[..., None], dict[str, Any]] | 
     flag wins.  Values are converted in the order their flags first
     appear, then the defaults fill in.
     """
-    if argv[:1] == ["--help"]:
-        sys.stdout.write(_help(None))
-        return None
     if not argv:
         raise UsageError("Missing command.")
     name, *tokens = argv
+    if name == "--help":
+        sys.stdout.write(_help(None))
+        return None
     if name not in _COMMANDS:
         raise UsageError(f"No such {'option' if name[:1] == '-' else 'command'} {name!r}.")
     fn, options = _COMMANDS[name]

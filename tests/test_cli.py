@@ -620,6 +620,13 @@ class TestParser:
         if "--s-values" in spaced:
             assert [row["s"] for row in json.loads(out)["rows"]][::2] == [-1e-05, 0.2]
 
+    def test_argv_may_be_a_tuple(self, capsys):
+        assert main(("--help",)) == 0
+        listed = capsys.readouterr().out
+        assert all(command in listed for command in _FLAGS)
+        assert main(("states", "--j", "3")) == 0
+        assert capsys.readouterr().out == run_cli(capsys, "states", "--j", "3")[1]
+
     @pytest.mark.parametrize("command", list(_FLAGS))
     def test_help_names_every_flag(self, capsys, command):
         code, out, _ = run_cli(capsys, command, "--help")

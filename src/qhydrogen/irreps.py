@@ -178,20 +178,22 @@ def build_irreps(j_max: SpinLabel, d: DeformationParameter) -> Iterator[IrrepMat
     :func:`build_irrep` gives, field for field, except that it carries
     ``half_brackets``.
 
-    The table stops at its first bracket beyond a double.  A spin that
-    reads past that point is built by :func:`build_irrep` instead, and
-    its checks evaluate the Casimir brackets themselves, so the error
-    raised is the one checking that spin alone raises.  Brackets grow
-    with their argument, so no spin before it lacks a bracket, and
-    that spin's own evaluation overflows.
+    If any bracket of the table lies beyond a double, every spin is
+    built by :func:`build_irrep` instead, and its checks evaluate the
+    Casimir brackets themselves, so each spin raises the error that
+    checking it alone raises.
     """
     tj_max = j_max.twice_j
-    table, _ = _brackets(max(2 * tj_max, tj_max + 2), d)
+    table = None
+    try:
+        table = _brackets(max(2 * tj_max, tj_max + 2), d)
+    except QNumberOverflowError:
+        # Nothing is kept or yielded here: a suspended generator would
+        # keep the error, and with it this frame, alive.
+        pass
     for tj in range(tj_max + 1):
         j = SpinLabel(tj)
-        # The spin's last bracket: [2j] at table[2 * 2j], or the
-        # Casimir's [j+1] at table[2j + 2] when 2j is 0 or 1.
-        if len(table) <= max(2 * tj, tj + 2):
+        if table is None:
             yield build_irrep(j, d)
             continue
         b = (0.0, *table[2:2 * max(tj, 1) + 1:2])

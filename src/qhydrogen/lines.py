@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .qnum import DeformationParameter, SpinLabel
+from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel
 from .spectrum import (
     RYDBERG_PER_CM,
     _brackets,
@@ -160,9 +160,10 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
     them in the operation order of
     :func:`~qhydrogen.spectrum.denominator`, so every clean row equals
     ``energy(j, twice_abs_m, q)`` bit for bit.  Every row of an s whose
-    q = e^s leaves the floating range (q is then None) or whose brackets
-    overflow is flagged "overflow"; a row whose denominator is not
-    positive is flagged "nonpositive_denominator".
+    q = e^s leaves the floating range (q is then None) or one of whose
+    brackets raises :class:`~qhydrogen.qnum.QNumberOverflowError` is
+    flagged "overflow", and the error is not kept; a row whose
+    denominator is not positive is flagged "nonpositive_denominator".
     """
     tj = j.twice_j
     twice_abs_ms = range(tj % 2, tj + 1, 2)
@@ -172,23 +173,19 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
         s = float(s)
         if not math.isfinite(s):
             raise ValueError(f"s values must be finite, got {s!r}")
+        q = None
         try:
             d = DeformationParameter.from_s(s)
-        except ValueError:
-            # q = e^s itself leaves the floating range
-            rows.extend(ScanRow(s, None, tj, tam, None, None, "overflow") for tam in twice_abs_ms)
-            continue
-        b, overflow = _brackets(tj + 2, d, 2)
-        if overflow is not None:
-            # The error's traceback reaches back to this frame, and with it
-            # to `rows`; keeping it would leave the rows in a reference cycle.
-            overflow = None
-            rows.extend(ScanRow(s, d.q, tj, tam, None, None, "overflow") for tam in twice_abs_ms)
+            q = d.q
+            b = _brackets(tj + 2, d, 2)
+        except (ValueError, QNumberOverflowError):
+            # q = e^s itself (q stays None) or a bracket leaves the floating range
+            rows.extend(ScanRow(s, q, tj, tam, None, None, "overflow") for tam in twice_abs_ms)
             continue
         for tam, value in _denominators(tj, b):
             if value > 0.0:
                 e = -2.0 / value
-                rows.append(ScanRow(s, d.q, tj, tam, e, e - e_flat, ""))
+                rows.append(ScanRow(s, q, tj, tam, e, e - e_flat, ""))
             else:
-                rows.append(ScanRow(s, d.q, tj, tam, None, None, "nonpositive_denominator"))
+                rows.append(ScanRow(s, q, tj, tam, None, None, "nonpositive_denominator"))
     return rows

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Literal, NamedTuple
 
-from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
+from .qnum import DeformationParameter, SpinLabel, qnumber
 
 Mode = Literal["deformed", "undeformed"]
 
@@ -126,24 +126,18 @@ def _combine(bj: float, bj1: float, bm: float, bm_up: float, bm_down: float, m: 
     return 8.0 * (bj * bj1) - 4.0 * (bm * (bm_up + bm_down)) + 8.0 * (m * m) + 2.0
 
 
-def _brackets(
-    k_max: int, d: DeformationParameter, stride: int = 1
-) -> tuple[list[float], QNumberOverflowError | None]:
-    """The brackets b[k] = [k/2], k <= k_max, and the overflow that cut them short.
+def _brackets(k_max: int, d: DeformationParameter, stride: int = 1) -> list[float]:
+    """The brackets b[k] = [k/2], k <= k_max, in ascending k.
 
     With stride 2 only the k of k_max's parity are evaluated (one spin
-    reads no other) and the other entries are None.  Brackets grow in
-    magnitude with k, so the list stops at the first k whose bracket
-    overflows and that error is returned with it; it is the error a
-    scalar evaluation of the first row needing [k/2] raises.
+    reads no other) and the other entries are None.  A bracket beyond a
+    double raises its :class:`QNumberOverflowError` here, and brackets
+    grow in magnitude with k, so that is the first k that overflows.
     """
     table: list = [None] * (k_max + 1)
     for k in range(k_max % stride, k_max + 1, stride):
-        try:
-            table[k] = qnumber(k / 2.0, d)
-        except QNumberOverflowError as exc:
-            return table[:k], exc
-    return table, None
+        table[k] = qnumber(k / 2.0, d)
+    return table
 
 
 def _denominators(twice_j: int, b: list[float]) -> Iterator[tuple[int, float]]:
@@ -226,26 +220,24 @@ def level_table(j_max: SpinLabel, d: DeformationParameter, mode: Mode) -> list[E
     energy with ties broken by ascending j then ascending |m|, so the
     output is deterministic even where levels coincide (e.g. at q = 1).
 
-    Deformed energies are evaluated from one table of the 2j_max + 3
-    brackets [k/2], each computed once, and combined in the operation
+    Deformed energies are evaluated from the brackets [k/2], k <= 2j_max
+    + 2, each computed once: every row adds [j+1], the one bracket it
+    reads that no earlier row did.  They are combined in the operation
     order of :func:`denominator`, so every row equals
-    ``energy(j, twice_abs_m, d)`` bit for bit.  Failures are raised for
-    the first failing row in ascending (j, |m|) order, as a row-by-row
-    evaluation would raise them.
+    ``energy(j, twice_abs_m, d)`` bit for bit, and a failure is raised
+    by the first failing row in ascending (j, |m|) order, as a
+    row-by-row evaluation would raise it.
     """
     _check_mode(mode)
     spins = map(SpinLabel, range(j_max.twice_j + 1))
     if mode == "undeformed":
         # -1/n^2 rises with n, so ascending j is already the sorted order.
         return [EnergyLevel(j, 0, energy_undeformed(j), j.dim * j.dim, j.dim) for j in spins]
-    b, overflow = _brackets(j_max.twice_j + 2, d)
+    b = [qnumber(0.0, d), qnumber(0.5, d)]
     levels: list[EnergyLevel] = []
     for j in spins:
         tj, n = j.twice_j, j.dim
-        if tj + 2 >= len(b):
-            # b was cut short by `overflow` at [j+1]: this is the first row
-            # that needs a bracket past the overflow.
-            raise overflow
+        b.append(qnumber((tj + 2) / 2.0, d))
         for tam, value in _denominators(tj, b):
             if not value > 0.0:
                 raise NonPositiveDenominatorError(tj, tam, d.q, value)

@@ -530,10 +530,7 @@ class TestExitCodes:
         `main` runs commands with the collector paused, which is safe
         only while rows and their intermediates form no reference cycles:
         a row type that did would make memory grow until the collector
-        runs again.  The exit-2 paths are left out on purpose: their
-        exception and frame cycles (a few dozen objects, e.g. from
-        `levels --s 500 --j-max 3`) are freed by the first collection
-        after `main` returns.
+        runs again.
         """
         with collector(True):
             gc.collect()
@@ -552,6 +549,29 @@ class TestExitCodes:
         assert "overflow" in capsys.readouterr().out
         assert garbage == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "levels --s 500 --j-max 3",
+            "levels --s -720 --j-max 2",
+            "lines --q 1e300 --j-max 2",
+            "verify --s -720 --j-max 2",
+            "verify --s 300 --j-max 8",
+            # NaN denominator
+            "levels --q 2 --j-max 1030",
+            "verify --q 1.3 --j-max 4 --tolerance 1e-30",
+            "dump-irrep --s 500 --j 4 --operator iz",
+        ],
+    )
+    def test_failures_leave_no_reference_cycles(self, capsys, argv):
+        # A bracket overflow is met where the bracket is read, so no frame
+        # holds the error, and the error holds no frame, once main returns.
+        with collector(True):
+            gc.collect()
+            assert main(argv.split()) == 2
+            assert gc.collect() == 0
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 # Every flag of each command, as its --help must name it.
 _FLAGS = {
@@ -569,25 +589,33 @@ class TestParser:
     """How argv becomes a command call, whatever parses it."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            [],
-            ["frobnicate"],
-            ["levels", "extra"],
-            ["levels", "--q"],
-            ["levels", "--j-max", "-1"],
-            ["scan", "--j", "1", "--s-count", "0"],
-            ["levels", "--format", "xml"],
-            ["states"],
-            ["levels", "--j", "1"],
+            ([], "Missing command."),
+            (["frobnicate"], "No such command 'frobnicate'."),
+            (["levels", "extra"], "unexpected extra argument (extra)"),
+            (["levels", "--q"], "Option '--q' requires an argument."),
+            (["levels", "--j-max", "-1"], "-1 is not in the range x>=0."),
+            (["scan", "--j", "1", "--s-count", "0"], "0 is not in the range x>=1."),
+            (["levels", "--format", "xml"], "'xml' is not one of"),
+            (["states"], "Missing option '--j'."),
+            (["levels", "--j", "1"], "No such option '--j'."),
+            (["levels", "--q", "abc"], "'abc' is not a valid float."),
+            (["scan", "--j", "1", "--s-values", ","], "--s-values contained no values"),
+            (["levels", "--help=1"], "does not take a value"),
+            (["dump-irrep", "--j", "1"], "Missing option '--operator'. Choose from:"),
+            (["levels", "--", "--q", "2"], "unexpected extra arguments"),
         ],
         ids=["no-command", "unknown-command", "extra-argument", "missing-value",
-             "negative-j-max", "zero-s-count", "unknown-format", "missing-j", "unknown-flag"],
+             "negative-j-max", "zero-s-count", "unknown-format", "missing-j", "unknown-flag",
+             "invalid-float", "empty-s-values", "help-with-value", "missing-choice",
+             "after-double-dash"],
     )
-    def test_refused_invocation_exits_1(self, capsys, argv):
+    def test_refused_invocation_exits_1(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err and "Traceback" not in err
+        assert err.startswith("Error: ") and "Traceback" not in err
+        assert message in err
 
     def test_output_into_a_directory_is_refused_before_the_command_runs(self, capsys, tmp_path):
         # q = 1e300 would exit 2 in the computation; the path is refused first

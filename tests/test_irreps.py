@@ -202,7 +202,7 @@ class TestBracketsOnce:
             seen.append(float(x))
             return qnumber(x, d)
 
-        # build_irreps takes its table from spectrum._brackets
+        # build_irreps evaluates its run table in spectrum._brackets
         monkeypatch.setattr(qhydrogen.irreps, "qnumber", recorded)
         monkeypatch.setattr(qhydrogen.spectrum, "qnumber", recorded)
         return seen

@@ -220,10 +220,10 @@ def level_table(j_max: SpinLabel, d: DeformationParameter, mode: Mode) -> list[E
     energy with ties broken by ascending j then ascending |m|, so the
     output is deterministic even where levels coincide (e.g. at q = 1).
 
-    Deformed energies are evaluated from the brackets [k/2], k <= 2j_max
-    + 2, each computed once: every row adds [j+1], the one bracket it
-    reads that no earlier row did.  They are combined in the operation
-    order of :func:`denominator`, so every row equals
+    Deformed energies are evaluated from the 2j_max + 3 brackets [k/2],
+    each computed once: every row adds [j+1], the one bracket it reads
+    that no earlier row did.  They are combined in the operation order
+    of :func:`denominator`, so every row equals
     ``energy(j, twice_abs_m, d)`` bit for bit, and a failure is raised
     by the first failing row in ascending (j, |m|) order, as a
     row-by-row evaluation would raise it.

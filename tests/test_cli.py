@@ -564,8 +564,8 @@ class TestExitCodes:
         ],
     )
     def test_failures_leave_no_reference_cycles(self, capsys, argv):
-        # A bracket overflow is met where the bracket is read, so no frame
-        # holds the error, and the error holds no frame, once main returns.
+        # An overflow raises where the bracket is read and no frame keeps the
+        # error, so nothing is left for the collector once main returns.
         with collector(True):
             gc.collect()
             assert main(argv.split()) == 2

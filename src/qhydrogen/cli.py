@@ -11,7 +11,8 @@ fixed, and rows are emitted in the documented sort orders.  Data goes
 to stdout (or --output); diagnostics go to stderr.  Exit status is 0 on
 success, 1 on a validation error (printed as "Error: <message>") and 2
 on a computational error (printed as "error: <message>"), including a
-failed `verify` run, so it can gate CI.
+failed `verify` run, so it can gate CI.  A stdout closed by its reader
+ends the command quietly with status 1.
 """
 
 from __future__ import annotations
@@ -627,6 +628,11 @@ def main(argv: list[str] | None = None) -> int:
     the rows form no reference cycles, so reference counting alone
     frees them.  The collector is turned back on at every exit, and
     only if it was on when ``main`` was called.
+
+    If stdout is closed before the document is written (``qhydrogen
+    levels ... | head``), ``main`` returns 1 and prints nothing; stdout
+    is pointed at the null device first, so the flush at interpreter
+    exit cannot fail again.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -637,6 +643,10 @@ def main(argv: list[str] | None = None) -> int:
             command(**kwargs)
     except KeyboardInterrupt:
         print("\naborted", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
         return 1
     except UsageError as exc:
         print(f"Error: {exc}", file=sys.stderr)

@@ -25,10 +25,10 @@ so every relation checked here has nonzeros on one diagonal, and the
 checks run on it in plain float arithmetic, O(2j + 1), reading the
 brackets the irrep holds instead of evaluating them again.
 :func:`build_irrep` builds one spin from its own brackets;
-:func:`build_irreps` builds every spin up to j_max from one table of
-[k/2], evaluated once for the whole run, and hands each half-integer
-spin its Casimir brackets too.  One band kernel serves every check:
-:func:`verify_commutators` reads the [Iz, I+] and [I+, I-] bands from
+:func:`build_irreps` builds every spin up to j_max, evaluating spin by
+spin the brackets that spin reads and no earlier one did, and hands
+each half-integer spin its Casimir brackets too.  One band kernel
+serves every check: :func:`verify_commutators` reads the [Iz, I+] and [I+, I-] bands from
 it, and :func:`verify_so4_limit` reads the q = 1 recombination, a
 Kronecker sum of two copies, from halves of the same bands, so no
 complex number is formed.  Built values can be shared freely across
@@ -43,7 +43,6 @@ from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
-from .spectrum import _brackets
 
 __all__ = [
     "IrrepMatrices",
@@ -66,9 +65,9 @@ class IrrepMatrices:
     k-1 carries |m+1>: the one nonzero diagonal of I+, and transposed
     that of I-.  ``half_brackets`` holds, at half-integer j, the
     brackets [1/2], [3/2], ..., [j+1] the Casimir check reads, when the
-    builder already had them (:func:`build_irreps` does); it is None
-    otherwise, and the check evaluates them.  These tuples of floats are
-    all that the module stores.
+    builder evaluated them for the run (:func:`build_irreps` does); it
+    is None otherwise, and the check evaluates them.  These tuples of
+    floats are all that the module stores.
     """
 
     j: SpinLabel
@@ -170,34 +169,23 @@ def build_irrep(j: SpinLabel, d: DeformationParameter) -> IrrepMatrices:
 def build_irreps(j_max: SpinLabel, d: DeformationParameter) -> Iterator[IrrepMatrices]:
     """Yield the irrep of every spin 2j = 0, 1, ..., 2j_max, in that order.
 
-    One table b[k] = [k/2], k <= max(2 * 2j_max, 2j_max + 2), is
-    evaluated for the whole run, each bracket once.  Spin j reads its
-    integer brackets [k] = b[2k] from it and, at half-integer j, the
-    Casimir's [1/2], ..., [j+1] (``half_brackets``), so checking every
-    spin evaluates no bracket again.  Each irrep equals what
+    Just before it yields spin j, the loop evaluates the brackets that
+    spin reads and no earlier spin did: [2j] (or [1] at j = 0) and, at
+    half-integer j, the Casimir's [j+1] ([1/2] and [3/2] at j = 1/2),
+    handed on in ``half_brackets``.  So a checked run evaluates each
+    bracket its spins read once, and no other.  Each irrep equals what
     :func:`build_irrep` gives, field for field, except that it carries
-    ``half_brackets``.
-
-    If any bracket of the table lies beyond a double, every spin is
-    built by :func:`build_irrep` instead, and its checks evaluate the
-    Casimir brackets themselves, so each spin raises the error that
-    checking it alone raises.
+    ``half_brackets``.  Brackets grow with their argument, so the first
+    one beyond a double raises its :class:`QNumberOverflowError` at the
+    spin, and with the message, that checking that spin alone raises.
     """
-    tj_max = j_max.twice_j
-    table = None
-    try:
-        table = _brackets(max(2 * tj_max, tj_max + 2), d)
-    except QNumberOverflowError:
-        # Nothing is kept or yielded here: a suspended generator would
-        # keep the error, and with it this frame, alive.
-        pass
-    for tj in range(tj_max + 1):
-        j = SpinLabel(tj)
-        if table is None:
-            yield build_irrep(j, d)
-            continue
-        b = (0.0, *table[2:2 * max(tj, 1) + 1:2])
-        yield _irrep(j, d, b, tuple(table[1:tj + 3:2]) if tj % 2 else None)
+    b = [0.0]  # b[k] = [k]
+    half: list[float] = []  # [1/2], [3/2], ..., [j+1] of the last half-integer j
+    for tj in range(j_max.twice_j + 1):
+        b.extend(qnumber(k, d) for k in range(len(b), max(tj, 1) + 1))
+        if tj % 2:
+            half.extend(qnumber(t / 2.0, d) for t in range(2 * len(half) + 1, tj + 3, 2))
+        yield _irrep(SpinLabel(tj), d, tuple(b), tuple(half) if tj % 2 else None)
 
 
 def _relation_bands(r: IrrepMatrices) -> list[tuple[list[float], Sequence[float]]]:

@@ -177,12 +177,12 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
         try:
             d = DeformationParameter.from_s(s)
             q = d.q
-            b = _brackets(tj + 2, d, 2)
+            b = _brackets(tj + 2, d)
         except (ValueError, QNumberOverflowError):
             # q = e^s itself (q stays None) or a bracket leaves the floating range
             rows.extend(ScanRow(s, q, tj, tam, None, None, "overflow") for tam in twice_abs_ms)
             continue
-        for tam, value in _denominators(tj, b):
+        for tam, value in zip(twice_abs_ms, _denominators(tj, b, twice_abs_ms)):
             if value > 0.0:
                 e = -2.0 / value
                 rows.append(ScanRow(s, q, tj, tam, e, e - e_flat, ""))

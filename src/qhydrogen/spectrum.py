@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator, Literal, NamedTuple
+from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
 
 from .qnum import DeformationParameter, SpinLabel, qnumber
 
@@ -119,39 +119,38 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
-def _combine(bj: float, bj1: float, bm: float, bm_up: float, bm_down: float, m: float) -> float:
-    # The one place D is assembled from [j], [j+1], [m], [m+1], [m-1] and m.
-    # Every builder goes through it, so a table row and a scalar call of
-    # denominator() round identically.
-    return 8.0 * (bj * bj1) - 4.0 * (bm * (bm_up + bm_down)) + 8.0 * (m * m) + 2.0
+def _brackets(k_max: int, d: DeformationParameter) -> list[float]:
+    """The brackets b[k] = [k/2] for the k <= k_max of k_max's parity, ascending.
 
-
-def _brackets(k_max: int, d: DeformationParameter, stride: int = 1) -> list[float]:
-    """The brackets b[k] = [k/2], k <= k_max, in ascending k.
-
-    With stride 2 only the k of k_max's parity are evaluated (one spin
-    reads no other) and the other entries are None.  A bracket beyond a
-    double raises its :class:`QNumberOverflowError` here, and brackets
-    grow in magnitude with k, so that is the first k that overflows.
+    The entries of the other parity are None: one spin reads none of
+    them.  A bracket beyond a double raises its
+    :class:`QNumberOverflowError` here, and brackets grow in magnitude
+    with k, so that is the first k that overflows.
     """
     table: list = [None] * (k_max + 1)
-    for k in range(k_max % stride, k_max + 1, stride):
+    for k in range(k_max % 2, k_max + 1, 2):
         table[k] = qnumber(k / 2.0, d)
     return table
 
 
-def _denominators(twice_j: int, b: list[float]) -> Iterator[tuple[int, float]]:
-    """(2|m|, D) at spin j for each |m| ascending, from b[k] = [k/2], k <= 2j+2.
+def _denominators(
+    twice_j: int, b: Sequence[float] | Mapping[int, float], twice_abs_ms: Iterable[int]
+) -> list[float]:
+    """D at spin j for each 2|m| of twice_abs_ms, from b[k] = [k/2] (a list or a dict).
 
-    [m-1] for |m| < 1 is taken as -[1-|m|], the odd reflection qnumber
-    itself applies to a negative argument.
+    The one place D is assembled, so a table row and a scalar call of
+    :func:`denominator` round identically.  b is read at non-negative
+    arguments only: [m-1] for |m| < 1 is taken as -[1-|m|], the odd
+    reflection qnumber itself applies to a negative argument.
     """
     bj, bj1 = b[twice_j], b[twice_j + 2]
-    twice_abs_ms = range(twice_j % 2, twice_j + 1, 2)
-    return zip(twice_abs_ms, [
-        _combine(bj, bj1, b[tam], b[tam + 2], b[tam - 2] if tam >= 2 else -b[2 - tam], tam / 2.0)
+    return [
+        8.0 * (bj * bj1)
+        - 4.0 * (b[tam] * (b[tam + 2] + (b[tam - 2] if tam >= 2 else -b[2 - tam])))
+        + 2.0 * (tam * tam)  # 8 m^2
+        + 2.0
         for tam in twice_abs_ms
-    ])
+    ]
 
 
 def denominator(j: SpinLabel, twice_m: int, d: DeformationParameter) -> float:
@@ -161,21 +160,17 @@ def denominator(j: SpinLabel, twice_m: int, d: DeformationParameter) -> float:
     bounds 8 m^2 + 2); the guard raises
     :class:`NonPositiveDenominatorError` if a parameter regime ever
     violates that, instead of silently producing an unbound "bound"
-    state.  The evaluation order is fixed so that D is bit-identical
-    under m -> -m and collapses to the exact integer 2(2j+1)^2 at s = 0.
+    state.  D is even in m, and is evaluated at |m| from the brackets
+    [j], [j+1], [|m|], [|m|+1] and [||m|-1|], in that order, so it is
+    bit-identical under m -> -m and collapses to the exact integer
+    2(2j+1)^2 at s = 0.
     """
     _check_weight(j, twice_m, "twice_m")
-    m = twice_m / 2.0
-    value = _combine(
-        qnumber(j.twice_j / 2.0, d),
-        qnumber(j.twice_j / 2.0 + 1.0, d),
-        qnumber(m, d),
-        qnumber(m + 1.0, d),
-        qnumber(m - 1.0, d),
-        m,
-    )
+    tj, tam = j.twice_j, abs(twice_m)
+    b = {k: qnumber(k / 2.0, d) for k in (tj, tj + 2, tam, tam + 2, abs(tam - 2))}
+    (value,) = _denominators(tj, b, (tam,))
     if not value > 0.0:
-        raise NonPositiveDenominatorError(j.twice_j, twice_m, d.q, value)
+        raise NonPositiveDenominatorError(tj, twice_m, d.q, value)
     return value
 
 
@@ -238,7 +233,8 @@ def level_table(j_max: SpinLabel, d: DeformationParameter, mode: Mode) -> list[E
     for j in spins:
         tj, n = j.twice_j, j.dim
         b.append(qnumber((tj + 2) / 2.0, d))
-        for tam, value in _denominators(tj, b):
+        twice_abs_ms = range(tj % 2, tj + 1, 2)
+        for tam, value in zip(twice_abs_ms, _denominators(tj, b, twice_abs_ms)):
             if not value > 0.0:
                 raise NonPositiveDenominatorError(tj, tam, d.q, value)
             levels.append(EnergyLevel(j, tam, -2.0 / value, 1 if tam == 0 else 4, n))

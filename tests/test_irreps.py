@@ -202,7 +202,8 @@ class TestBracketsOnce:
             seen.append(float(x))
             return qnumber(x, d)
 
-        # build_irreps evaluates its run table in spectrum._brackets
+        # Every bracket of a run goes through irreps.qnumber; spectrum's is
+        # watched too, so a bracket evaluated there would be counted.
         monkeypatch.setattr(qhydrogen.irreps, "qnumber", recorded)
         monkeypatch.setattr(qhydrogen.spectrum, "qnumber", recorded)
         return seen
@@ -224,13 +225,14 @@ class TestBracketsOnce:
             assert set(calls) == expected, tj
 
     @pytest.mark.parametrize("q", [1.3, 0.7])
-    def test_verify_run_evaluates_one_table(self, calls, q, capsys):
-        twice_j_max = 40
-        assert main(["verify", "--q", str(q), "--j-max", str(twice_j_max)]) == 0
+    def test_verify_run_evaluates_what_its_spins_read(self, calls, q, capsys):
+        assert main(["verify", "--q", str(q), "--j-max", "40"]) == 0
         capsys.readouterr()
-        assert len(calls) == len(set(calls)), calls
-        # table[k] = [k/2] up to [2j_max], or the Casimir's [j+1] at 2j_max <= 1
-        assert len(calls) <= max(2 * twice_j_max, twice_j_max + 2) + 1
+        # [1]..[40] for the ladders and the half-integer Casimirs'
+        # [1/2]..[41/2], each once: what the spins read when checked alone
+        expected = {float(k) for k in range(1, 41)} | {t / 2.0 for t in range(1, 42, 2)}
+        assert len(calls) == len(set(calls)) == 61, calls
+        assert set(calls) == expected
 
 
 class TestCommutators:
@@ -333,6 +335,32 @@ class TestBandedParity:
     def test_overflow_error_comes_from_the_casimir_bracket(self):
         error = all_reports(1, DeformationParameter.from_s(500.0), *BANDED)
         assert error[0] is QNumberOverflowError and "x=1.5" in error[1]
+
+    @pytest.mark.parametrize("s", [474.0, 500.0, 700.0, -709.0])
+    def test_run_raises_before_the_spin_that_reads_the_overflow(self, s):
+        # At 2j_max = 1 only the Casimir's [3/2] overflows, and spin 1/2
+        # is the first to read it.
+        d = DeformationParameter.from_s(s)
+        spins = build_irreps(SpinLabel(1), d)
+        assert next(spins).j.twice_j == 0
+        with pytest.raises(QNumberOverflowError) as in_run:
+            next(spins)
+        with pytest.raises(QNumberOverflowError) as alone:
+            casimir_identity_report(build_irrep(SpinLabel(1), d), 1e-11)
+        assert "x=1.5," in str(in_run.value)
+        assert str(in_run.value) == str(alone.value)
+
+    def test_spins_before_an_overflow_carry_their_casimir_brackets(self):
+        # [35.5] is the first bracket beyond a double; spin 2j = 36 reads [36]
+        d = DeformationParameter.from_s(20.2)
+        built = []
+        with pytest.raises(QNumberOverflowError, match=r"x=36\.0,"):
+            built.extend(build_irreps(SpinLabel(40), d))
+        assert [r.j.twice_j for r in built] == list(range(36))
+        for r in built:
+            tj = r.j.twice_j
+            half = [qnumber(t / 2.0, d) for t in range(1, tj + 3, 2)] if tj % 2 else None
+            assert r.half_brackets == (None if half is None else tuple(half)), tj
 
 
 class TestCasimirStandard:

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -77,21 +78,25 @@ print("ok")
 """
 
 
-def run_python(*args):
+def source_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def run_python(*args, python=sys.executable):
     return subprocess.run(
-        [sys.executable, *args],
+        [python, *args],
         capture_output=True,
-        env=env,
+        env=source_env(),
         timeout=60,
     )
 
 
-def run_module(*args):
-    return run_python("-m", "qhydrogen", *args)
+def run_module(*args, python=sys.executable):
+    return run_python("-m", "qhydrogen", *args, python=python)
 
 
 def test_no_command_or_library_call_imports_numpy():
@@ -193,6 +198,34 @@ class TestEntryPoint:
         done = run_module("levels", "--q", "2", "--j-max", "2")
         assert done.returncode == 0, done.stderr
         assert done.stdout == (GOLDEN / "levels_q2_jmax2.csv").read_bytes()
+
+    # pyproject.toml promises Python >= 3.10; each other 3.1X on PATH must
+    # print the golden bytes.  A name on PATH that does not start (say, a
+    # version manager's shim for a version not selected) counts as absent.
+    @pytest.mark.parametrize(
+        "minor", [minor for minor in range(10, 15) if minor != sys.version_info.minor]
+    )
+    def test_other_interpreters_print_the_golden_bytes(self, minor):
+        python = shutil.which(f"python3.{minor}")
+        if python is None or run_python("-c", "", python=python).returncode != 0:
+            pytest.skip(f"no runnable python3.{minor} on PATH")
+        for argv, golden in (
+            (("levels", "--q", "2", "--j-max", "2"), "levels_q2_jmax2.csv"),
+            (("verify", "--q", "1.3", "--j-max", "40", "--format", "json"),
+             "verify_q1.3_jmax40.json"),
+        ):
+            done = run_module(*argv, python=python)
+            assert (done.returncode, done.stderr) == (0, b""), argv
+            assert done.stdout == (GOLDEN / golden).read_bytes(), argv
+
+    def test_closed_stdout_exits_1_quietly(self):
+        argv = [sys.executable, "-m", "qhydrogen", "levels", "--q", "1.3", "--j-max", "400"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=source_env()) as child:
+            # The reader is gone before the ~1.8 MB document is written.
+            child.stdout.close()
+            err = child.stderr.read()
+        assert (child.returncode, err) == (1, b"")
 
     def test_validation_error_exits_1(self):
         done = run_module("levels", "--q", "-1")

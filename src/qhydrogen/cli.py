@@ -12,7 +12,9 @@ to stdout (or --output); diagnostics go to stderr.  Exit status is 0 on
 success, 1 on a validation error (printed as "Error: <message>") and 2
 on a computational error (printed as "error: <message>"), including a
 failed `verify` run, so it can gate CI.  A stdout closed by its reader
-ends the command quietly with status 1.
+ends the command quietly with status 1; any other failed write to
+stdout prints "Error: Could not write to stdout: <reason>" and exits 1,
+and a failed --output write "Error: Could not write file ...".
 """
 
 from __future__ import annotations
@@ -265,14 +267,20 @@ def _render(fmt: str, config: dict[str, Any], columns: Sequence[str], rows: Sequ
 
 
 def _write(document: str, output: str | None) -> None:
+    """Write ``document`` to stdout (flushed, so a failure shows here) or to --output."""
     if output is None:
         sys.stdout.write(document)
+        sys.stdout.flush()
         return
     try:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(document)
+        handle = open(output, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise UsageError(f"Could not open file {output!r}: {exc.strerror}") from None
+    try:
+        with handle:
+            handle.write(document)
+    except OSError as exc:
+        raise UsageError(f"Could not write file {output!r}: {exc.strerror}") from None
 
 
 def _resolve_deformation(q: float | None, s: float | None) -> DeformationParameter:
@@ -560,7 +568,7 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[..., None], dict[str, Any]] | 
         raise UsageError("Missing command.")
     name, *tokens = argv
     if name == "--help":
-        sys.stdout.write(_help(None))
+        _write(_help(None), None)
         return None
     if name not in _COMMANDS:
         raise UsageError(f"No such {'option' if name[:1] == '-' else 'command'} {name!r}.")
@@ -590,7 +598,7 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[..., None], dict[str, Any]] | 
                     raise UsageError(f"Option {flag!r} requires an argument.")
                 given[flag] = value
     if wants_help:
-        sys.stdout.write(_help(name))
+        _write(_help(name), None)
         return None
     kwargs = {}
     for flag, text in given.items():
@@ -629,10 +637,11 @@ def main(argv: list[str] | None = None) -> int:
     frees them.  The collector is turned back on at every exit, and
     only if it was on when ``main`` was called.
 
-    If stdout is closed before the document is written (``qhydrogen
-    levels ... | head``), ``main`` returns 1 and prints nothing; stdout
-    is pointed at the null device first, so the flush at interpreter
-    exit cannot fail again.
+    If writing to stdout fails, ``main`` returns 1.  It prints nothing
+    when the reader closed stdout (``qhydrogen levels ... | head``) and
+    "Error: Could not write to stdout: <reason>" otherwise (``> /dev/full``).
+    Either way stdout is pointed at the null device first, so the flush
+    at interpreter exit cannot fail again.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -644,9 +653,13 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("\naborted", file=sys.stderr)
         return 1
-    except BrokenPipeError:
+    except OSError as exc:
+        # Only a stdout write gets here: _write turns an --output failure
+        # into a UsageError.
         with open(os.devnull, "wb") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"Error: Could not write to stdout: {exc.strerror}", file=sys.stderr)
         return 1
     except UsageError as exc:
         print(f"Error: {exc}", file=sys.stderr)

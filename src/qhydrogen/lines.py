@@ -16,9 +16,8 @@ from typing import NamedTuple
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel
 from .spectrum import (
     RYDBERG_PER_CM,
-    _brackets,
     _check_weight,
-    _denominators,
+    _spin_denominators,
     energy,
     energy_undeformed,
     level_table,
@@ -155,15 +154,13 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
     in Rydberg throughout, matching the scan CSV schema.  Evaluation
     failures flag the row instead of aborting the scan.
 
-    Each s value evaluates the brackets [k/2], k <= 2j+2, that have the
-    parity of 2j (no other is read at spin j) once each and combines
-    them in the operation order of
-    :func:`~qhydrogen.spectrum.denominator`, so every clean row equals
-    ``energy(j, twice_abs_m, q)`` bit for bit.  Every row of an s whose
-    q = e^s leaves the floating range (q is then None) or one of whose
-    brackets raises :class:`~qhydrogen.qnum.QNumberOverflowError` is
-    flagged "overflow", and the error is not kept; a row whose
-    denominator is not positive is flagged "nonpositive_denominator".
+    Each s value evaluates every bracket the spin reads once, and every
+    clean row equals ``energy(j, twice_abs_m, q)`` bit for bit.  Every
+    row of an s whose q = e^s leaves the floating range (q is then None)
+    or one of whose brackets raises
+    :class:`~qhydrogen.qnum.QNumberOverflowError` is flagged "overflow",
+    and the error is not kept; a row whose denominator is not positive
+    is flagged "nonpositive_denominator".
     """
     tj = j.twice_j
     twice_abs_ms = range(tj % 2, tj + 1, 2)
@@ -177,12 +174,12 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
         try:
             d = DeformationParameter.from_s(s)
             q = d.q
-            b = _brackets(tj + 2, d)
+            denominators = _spin_denominators(tj, d)
         except (ValueError, QNumberOverflowError):
             # q = e^s itself (q stays None) or a bracket leaves the floating range
             rows.extend(ScanRow(s, q, tj, tam, None, None, "overflow") for tam in twice_abs_ms)
             continue
-        for tam, value in zip(twice_abs_ms, _denominators(tj, b, twice_abs_ms)):
+        for tam, value in zip(twice_abs_ms, denominators):
             if value > 0.0:
                 e = -2.0 / value
                 rows.append(ScanRow(s, q, tj, tam, e, e - e_flat, ""))

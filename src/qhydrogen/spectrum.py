@@ -119,20 +119,6 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
-def _brackets(k_max: int, d: DeformationParameter) -> list[float]:
-    """The brackets b[k] = [k/2] for the k <= k_max of k_max's parity, ascending.
-
-    The entries of the other parity are None: one spin reads none of
-    them.  A bracket beyond a double raises its
-    :class:`QNumberOverflowError` here, and brackets grow in magnitude
-    with k, so that is the first k that overflows.
-    """
-    table: list = [None] * (k_max + 1)
-    for k in range(k_max % 2, k_max + 1, 2):
-        table[k] = qnumber(k / 2.0, d)
-    return table
-
-
 def _denominators(
     twice_j: int, b: Sequence[float] | Mapping[int, float], twice_abs_ms: Iterable[int]
 ) -> list[float]:
@@ -153,6 +139,20 @@ def _denominators(
     ]
 
 
+def _spin_denominators(twice_j: int, d: DeformationParameter) -> list[float]:
+    """D at spin j for every 2|m| of the spin, ascending.
+
+    Evaluates the brackets [k/2] with k of 2j's parity, k <= 2j+2 (no
+    other is read at spin j), once each and in ascending k.  Brackets
+    grow in magnitude with k, so the first one beyond a double raises
+    its :class:`QNumberOverflowError` here, before any D is formed.
+    """
+    b: list = [None] * (twice_j + 3)
+    for k in range(twice_j % 2, twice_j + 3, 2):
+        b[k] = qnumber(k / 2.0, d)
+    return _denominators(twice_j, b, range(twice_j % 2, twice_j + 1, 2))
+
+
 def denominator(j: SpinLabel, twice_m: int, d: DeformationParameter) -> float:
     """Energy denominator D = 8[j][j+1] - 4[m]([m+1] + [m-1]) + 8 m^2 + 2.
 
@@ -161,13 +161,14 @@ def denominator(j: SpinLabel, twice_m: int, d: DeformationParameter) -> float:
     :class:`NonPositiveDenominatorError` if a parameter regime ever
     violates that, instead of silently producing an unbound "bound"
     state.  D is even in m, and is evaluated at |m| from the brackets
-    [j], [j+1], [|m|], [|m|+1] and [||m|-1|], in that order, so it is
-    bit-identical under m -> -m and collapses to the exact integer
-    2(2j+1)^2 at s = 0.
+    [j], [j+1], [|m|], [|m|+1] and [||m|-1|], each distinct one once and
+    in that order, so it is bit-identical under m -> -m and collapses to
+    the exact integer 2(2j+1)^2 at s = 0.
     """
     _check_weight(j, twice_m, "twice_m")
     tj, tam = j.twice_j, abs(twice_m)
-    b = {k: qnumber(k / 2.0, d) for k in (tj, tj + 2, tam, tam + 2, abs(tam - 2))}
+    keys = dict.fromkeys((tj, tj + 2, tam, tam + 2, abs(tam - 2)))
+    b = {k: qnumber(k / 2.0, d) for k in keys}
     (value,) = _denominators(tj, b, (tam,))
     if not value > 0.0:
         raise NonPositiveDenominatorError(tj, twice_m, d.q, value)

@@ -1,11 +1,15 @@
-"""Dense operator oracles shared by the test modules.
+"""Oracles shared by the test modules: dense operators and exact energies.
 
-The library stores an irrep as its ladder weights only; these build the
-complex matrices explicitly and check relations with dense products.
+The library stores an irrep as its ladder weights only; the dense
+oracles build the complex matrices explicitly and check relations with
+dense products.  The energy oracles evaluate D, E and the deviation
+from -1/n^2 with mpmath at MP_DIGITS significant digits.
 """
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 
 from qhydrogen.irreps import VerificationReport, build_irrep
@@ -94,3 +98,44 @@ def dense_verify_so4_limit(j1, j2, tol):
             lhs = commutator(family[0][a], family[1][b])
             reports.append(dense_report(name, lhs, 1j * family[2][c], tol))
     return reports
+
+
+MP_DIGITS = 40
+
+
+def mp_ln(q):
+    """s = ln q of the double q, exact to MP_DIGITS digits."""
+    with mpmath.workdps(MP_DIGITS):
+        return mpmath.log(mpmath.mpf(q))
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_bracket(twice_x, s):
+    with mpmath.workdps(MP_DIGITS):
+        x = mpmath.mpf(twice_x) / 2
+        return x if s == 0 else mpmath.sinh(s * x) / mpmath.sinh(s)
+
+
+def mp_denominator(twice_j, twice_m, s):
+    """D = 8[j][j+1] - 4[m]([m+1] + [m-1]) + 8 m^2 + 2 at MP_DIGITS digits.
+
+    ``s`` is ln q, an mpf (see :func:`mp_ln`) or a float taken as its
+    exact value; the brackets of one s are computed once.
+    """
+    with mpmath.workdps(MP_DIGITS):
+        b = functools.partial(_mp_bracket, s=mpmath.mpf(s))
+        return (8 * b(twice_j) * b(twice_j + 2)
+                - 4 * b(twice_m) * (b(twice_m + 2) + b(twice_m - 2))
+                + 2 * twice_m * twice_m + 2)
+
+
+def mp_energy(twice_j, twice_m, s):
+    """E/Ry = -2/D at MP_DIGITS digits."""
+    with mpmath.workdps(MP_DIGITS):
+        return -2 / mp_denominator(twice_j, twice_m, s)
+
+
+def mp_deviation(twice_j, twice_m, s):
+    """E + 1/n^2, the scan's deviation_ry, at MP_DIGITS digits."""
+    with mpmath.workdps(MP_DIGITS):
+        return mp_energy(twice_j, twice_m, s) + mpmath.mpf(1) / (twice_j + 1) ** 2

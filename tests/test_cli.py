@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -217,6 +218,15 @@ def test_output_into_missing_directory_is_a_validation_error(capsys, tmp_path, a
     assert err.startswith("Error: ") and "Traceback" not in err
     assert "No such file or directory" in err
     assert not target.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_output_write_is_named_a_write_failure(capsys):
+    # /dev/full opens but refuses every write.
+    code, out, err = run_cli(capsys, "levels", "--q", "1.3", "--j-max", "4",
+                             "--output", "/dev/full")
+    assert (code, out) == (1, "")
+    assert err == "Error: Could not write file '/dev/full': No space left on device\n"
 
 
 class TestStatesCommand:

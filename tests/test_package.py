@@ -227,6 +227,20 @@ class TestEntryPoint:
             err = child.stderr.read()
         assert (child.returncode, err) == (1, b"")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [("levels", "--q", "1.3", "--j-max", "40"),
+                                      ("states", "--j", "0")], ids=["long", "short"])
+    def test_full_stdout_prints_one_error_line(self, argv):
+        # Buffered, the short document would reach the device only at the
+        # flush at interpreter exit.
+        env = source_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run([sys.executable, "-m", "qhydrogen", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (
+            1, b"Error: Could not write to stdout: No space left on device\n")
+
     def test_validation_error_exits_1(self):
         done = run_module("levels", "--q", "-1")
         assert done.returncode == 1

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import casimir_symmetrized, ladder_matrices
 from qhydrogen.irreps import build_irrep
-from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel
+from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
 from qhydrogen.spectrum import (
     EnergyLevel,
     NonPositiveDenominatorError,
@@ -47,6 +47,30 @@ class TestDenominator:
             denominator(SpinLabel(2), 1, d)  # parity mismatch
         with pytest.raises(ValueError):
             denominator(SpinLabel(2), 4, d)  # |m| > j
+
+    @pytest.mark.parametrize(
+        "tj, tm, brackets",
+        [
+            (4, 4, [2.0, 3.0, 1.0]),  # [|m|] = [j] and [|m|+1] = [j+1]
+            (4, 0, [2.0, 3.0, 0.0, 1.0]),  # [||m|-1|] = [|m|+1]
+            (0, 0, [0.0, 1.0]),
+        ],
+    )
+    def test_each_distinct_bracket_is_evaluated_once(self, monkeypatch, tj, tm, brackets):
+        # In the order [j], [j+1], [|m|], [|m|+1], [||m|-1|], so the first
+        # bracket to overflow is the one the full list would raise first.
+        import qhydrogen.spectrum
+
+        seen = []
+
+        def recorded(x, d):
+            seen.append(x)
+            return qnumber(x, d)
+
+        monkeypatch.setattr(qhydrogen.spectrum, "qnumber", recorded)
+        d = DeformationParameter(1.3)
+        assert energy(SpinLabel(tj), tm, d) == -2.0 / denominator(SpinLabel(tj), -tm, d)
+        assert seen == brackets * 2
 
     def test_error_carries_context(self):
         err = NonPositiveDenominatorError(4, 2, 1.5, -0.25)

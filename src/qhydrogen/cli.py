@@ -671,7 +671,3 @@ def main(argv: list[str] | None = None) -> int:
         if enabled:
             gc.enable()
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

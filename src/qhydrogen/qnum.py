@@ -37,8 +37,8 @@ class DeformationParameter:
     """Real deformation strength q > 0 together with its logarithm s = ln q.
 
     The undeformed point is represented exactly: constructing from
-    q = 1.0 stores s = 0.0, and :meth:`from_s` with s = 0.0 stores
-    q = 1.0.  Complex q (a pure phase deformation) is rejected; real
+    q = 1.0 stores s = ln 1 = +0.0, and :meth:`from_s` with s = 0.0
+    stores q = 1.0.  Complex q (a pure phase deformation) is rejected; real
     positive q keeps every bracket, ladder weight and energy real.
 
     ``small_s_threshold`` is the fixed |s| = 1e-4 below which
@@ -62,7 +62,7 @@ class DeformationParameter:
         if not math.isfinite(q) or q <= 0.0:
             raise ValueError(f"q must be a finite positive real, got {self.q!r}")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "s", 0.0 if q == 1.0 else math.log(q))
+        object.__setattr__(self, "s", math.log(q))
 
     @classmethod
     def from_s(cls, s: float) -> "DeformationParameter":
@@ -98,10 +98,6 @@ class SpinLabel:
             raise ValueError(f"twice_j must be >= 0, got {self.twice_j}")
 
     @property
-    def j(self) -> float:
-        return self.twice_j / 2.0
-
-    @property
     def dim(self) -> int:
         """Dimension 2j + 1 of the spin-j module (also the principal number n)."""
         return self.twice_j + 1
@@ -109,11 +105,6 @@ class SpinLabel:
     def twice_m_values(self) -> list[int]:
         """All weights 2m from +2j down to -2j in steps of 2."""
         return list(range(self.twice_j, -self.twice_j - 1, -2))
-
-    def __str__(self) -> str:
-        if self.twice_j % 2 == 0:
-            return str(self.twice_j // 2)
-        return f"{self.twice_j}/2"
 
 
 def _series_eval(x: float, s: float) -> float:

@@ -59,7 +59,7 @@ class NonPositiveDenominatorError(ArithmeticError):
     """The energy denominator came out <= 0: no bound state at these parameters.
 
     Carries the offending (twice_j, twice_m, q, value) so table builders
-    and scans can attribute the failure to a specific level.
+    can attribute the failure to a specific level.
     """
 
     def __init__(self, twice_j: int, twice_m: int, q: float, value: float) -> None:
@@ -158,9 +158,11 @@ def denominator(j: SpinLabel, twice_m: int, d: DeformationParameter) -> float:
 
     Strictly positive for every valid (j, m) at real q > 0 (it lower
     bounds 8 m^2 + 2); the guard raises
-    :class:`NonPositiveDenominatorError` if a parameter regime ever
-    violates that, instead of silently producing an unbound "bound"
-    state.  D is even in m, and is evaluated at |m| from the brackets
+    :class:`NonPositiveDenominatorError` where the double evaluation
+    is not positive, instead of silently producing an unbound "bound"
+    state.  That happens at q = 2 and 2j >= 1022 for 2|m| >= 1022, where
+    [j][j+1] and the m term both overflow and D = inf - inf is NaN.
+    D is even in m, and is evaluated at |m| from the brackets
     [j], [j+1], [|m|], [|m|+1] and [||m|-1|], each distinct one once and
     in that order, so it is bit-identical under m -> -m and collapses to
     the exact integer 2(2j+1)^2 at s = 0.

@@ -1,9 +1,10 @@
-"""Oracles shared by the test modules: dense operators and exact energies.
+"""Oracles shared by the test modules: dense operators, exact brackets and energies.
 
 The library stores an irrep as its ladder weights only; the dense
 oracles build the complex matrices explicitly and check relations with
-dense products.  The energy oracles evaluate D, E and the deviation
-from -1/n^2 with mpmath at MP_DIGITS significant digits.
+dense products.  The bracket and energy oracles evaluate [x], D, E,
+line energies and the deviation from -1/n^2 with mpmath at MP_DIGITS
+significant digits.
 """
 
 import functools
@@ -110,7 +111,8 @@ def mp_ln(q):
 
 
 @functools.lru_cache(maxsize=None)
-def _mp_bracket(twice_x, s):
+def mp_bracket(twice_x, s):
+    """[x] = sinh(s x)/sinh(s) at x = twice_x/2, to MP_DIGITS digits; s is an mpf."""
     with mpmath.workdps(MP_DIGITS):
         x = mpmath.mpf(twice_x) / 2
         return x if s == 0 else mpmath.sinh(s * x) / mpmath.sinh(s)
@@ -123,16 +125,26 @@ def mp_denominator(twice_j, twice_m, s):
     exact value; the brackets of one s are computed once.
     """
     with mpmath.workdps(MP_DIGITS):
-        b = functools.partial(_mp_bracket, s=mpmath.mpf(s))
+        b = functools.partial(mp_bracket, s=mpmath.mpf(s))
         return (8 * b(twice_j) * b(twice_j + 2)
                 - 4 * b(twice_m) * (b(twice_m + 2) + b(twice_m - 2))
                 + 2 * twice_m * twice_m + 2)
 
 
+@functools.lru_cache(maxsize=None)
 def mp_energy(twice_j, twice_m, s):
-    """E/Ry = -2/D at MP_DIGITS digits."""
+    """E/Ry = -2/D at MP_DIGITS digits.
+
+    Cached: the energy and line ledgers read the same levels at the same s.
+    """
     with mpmath.workdps(MP_DIGITS):
         return -2 / mp_denominator(twice_j, twice_m, s)
+
+
+def mp_delta_energy(upper, lower, s):
+    """Line energy E(upper) - E(lower) at MP_DIGITS digits; each level is (twice_j, twice_m)."""
+    with mpmath.workdps(MP_DIGITS):
+        return mp_energy(*upper, s) - mp_energy(*lower, s)
 
 
 def mp_deviation(twice_j, twice_m, s):

@@ -1,22 +1,28 @@
-"""Accuracy ledger of the energy layer against 40-digit mpmath oracles.
+"""Accuracy ledger of the bracket, energy and line layers against 40-digit mpmath oracles.
 
 Each bound is a target from the table in docs/derivations.md, section 10.
 A case that misses its target today is a strict xfail naming the
 ROADMAP item that mends it; no test takes today's error as its bound.
 """
 
+import itertools
+import math
+
 import mpmath
 import pytest
 
-from oracles import MP_DIGITS, mp_deviation, mp_energy, mp_ln
+from oracles import MP_DIGITS, mp_bracket, mp_delta_energy, mp_deviation, mp_energy, mp_ln
 from qhydrogen.cli import main
-from qhydrogen.lines import splitting_scan
-from qhydrogen.qnum import DeformationParameter, SpinLabel
+from qhydrogen.lines import series_table, splitting_scan, transition
+from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
 from qhydrogen.spectrum import energy
 
+BRACKET_ULPS = 2.0  # ROADMAP item 4
 ENERGY_RELATIVE = 1e-12  # ROADMAP item 5
 DEVIATION_RELATIVE = 1e-14  # ROADMAP item 3
+LINE_RELATIVE = 1e-14  # ROADMAP item 3
 SUBNORMAL_SPACING = 2.0**-1074
+Q_GRID = (1 - 1e-9, 1 + 1e-9, 1 + 1e-6, 1.001, 0.7, 1.3, 2.0, 10.0)
 
 
 def relative_error(value, exact):
@@ -66,3 +72,104 @@ def test_far_edge_energy_is_the_subnormal():
     with mpmath.workdps(MP_DIGITS):
         error = abs(mpmath.mpf(e) - exact)
     assert error <= max(ENERGY_RELATIVE * abs(exact), SUBNORMAL_SPACING)
+
+
+def _bracket_cases():
+    for q in (*Q_GRID, 1e100):
+        marks = []
+        if q in (0.7, 1.3, 2.0, 10.0, 1e100):
+            marks = pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the sinh ratio "
+                                      "rounds [x] up to 335 ulp off, and at q = 1e100 "
+                                      "overflows early")
+        yield pytest.param(q, marks=marks)
+
+
+@pytest.mark.parametrize("q", _bracket_cases())
+def test_bracket_within_target(q):
+    d = DeformationParameter(q)
+    # The stored double s, so that only qnumber's own rounding counts.
+    s = mpmath.mpf(d.s)
+    worst = 0.0
+    for k in range(323):
+        exact = mp_bracket(k, s)
+        if math.isinf(float(exact)):
+            with pytest.raises(QNumberOverflowError):
+                qnumber(k / 2.0, d)
+        else:
+            ulps = abs(qnumber(k / 2.0, d) - exact) / math.ulp(float(exact))
+            worst = max(worst, ulps)
+    assert worst <= BRACKET_ULPS
+
+
+_EDGE_MISSES = {
+    (1e100, 5): pytest.mark.xfail(strict=True, raises=QNumberOverflowError,
+                                  reason="ROADMAP item 4: sinh(s*x) overflows at x = 3.5, "
+                                         "where [7/2] is a double"),
+    (10.0, 309): pytest.mark.xfail(strict=True, reason="ROADMAP item 5: D exceeds a double "
+                                                       "and E is -0.0"),
+    (1.01, 70333): pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the brackets' "
+                                     "rounding puts the top two |m| 1.5e-12 and 2.4e-12 off"),
+    (1.01, 70336): pytest.mark.xfail(strict=True, reason="ROADMAP item 5: D exceeds a double "
+                                                         "and E is -0.0"),
+}
+
+
+def _edge_cases():
+    spins = {1e100: range(6), 10.0: (307, 308, 309), 2.0: (1020, 1021),
+             1.01: (70333, 70334, 70335, 70336)}
+    for q, tjs in spins.items():
+        for tj in tjs:
+            yield pytest.param(q, tj, marks=_EDGE_MISSES.get((q, tj), []), id=f"q={q:g}-2j={tj}")
+
+
+@pytest.mark.parametrize("q, tj", _edge_cases())
+def test_energy_up_to_the_edge(q, tj):
+    # Past 2j = 2000 only the two lowest and two highest |m| are checked,
+    # which are the levels of largest D and largest bracket arguments.
+    twice_abs_ms = range(tj % 2, tj + 1, 2)
+    if tj > 2000:
+        twice_abs_ms = [*twice_abs_ms[:2], *twice_abs_ms[-2:]]
+    d = DeformationParameter(q)
+    s = mp_ln(q)
+    for tam in twice_abs_ms:
+        exact = mp_energy(tj, tam, s)
+        with mpmath.workdps(MP_DIGITS):
+            error = abs(mpmath.mpf(energy(SpinLabel(tj), tam, d)) - exact)
+        assert error <= max(ENERGY_RELATIVE * abs(exact), SUBNORMAL_SPACING), tam
+
+
+def _level(key):
+    return key[0].twice_j, key[1]
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+def test_lines_to_the_ground_within_target(q):
+    s = mp_ln(q)
+    lines = series_table(SpinLabel(0), 0, SpinLabel(160), DeformationParameter(q))
+    worst = max(relative_error(line.delta_energy,
+                               mp_delta_energy(_level(line.upper), _level(line.lower), s))
+                for line in lines)
+    assert worst <= LINE_RELATIVE
+
+
+def _multiplet_cases():
+    for q in (*Q_GRID, 1 + 1e-5):
+        for tj in (4, 8, 20, 80):
+            marks = []
+            if (q, tj) not in ((0.7, 4), (1.3, 4), (2.0, 4)):
+                marks = pytest.mark.xfail(
+                    strict=True, reason="ROADMAP item 3: D_u - D_l cancels within a multiplet")
+            yield pytest.param(q, tj, marks=marks, id=f"q={q!r}-2j={tj}")
+
+
+@pytest.mark.parametrize("q, tj", _multiplet_cases())
+def test_multiplet_lines_within_target(q, tj):
+    j = SpinLabel(tj)
+    d = DeformationParameter(q)
+    s = mp_ln(q)
+    worst = 0.0
+    for first, second in itertools.combinations(range(tj % 2, tj + 1, 2), 2):
+        line = transition((j, first), (j, second), d)
+        exact = mp_delta_energy(_level(line.upper), _level(line.lower), s)
+        worst = max(worst, relative_error(line.delta_energy, exact))
+    assert worst <= LINE_RELATIVE

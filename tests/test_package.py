@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -279,3 +280,32 @@ class TestReadme:
         assert comment.split()[:2] == ["-0.1", "Ry"]
         assert namespace["d"] == DeformationParameter(2.0)
         assert eval(call, namespace) == -0.1
+
+    def test_library_example_results(self):
+        snippet = self.block_after("from qhydrogen import (")
+        namespace = {}
+        exec("\n".join(snippet), namespace)
+
+        def result(prefix):
+            (line,) = (line for line in snippet if line.startswith(prefix))
+            return eval(line.split("#")[0], namespace)
+
+        assert result("all(") is True
+        assert result("[r.dim for r in build_irreps(") == [1, 2, 3, 4, 5]
+        assert result("degeneracy_summary(") == (3, 9)
+
+    @pytest.mark.parametrize("heading, written", [("## CLI", []),
+                                                  ("## Experiments", ["splitting.csv"])],
+                             ids=["cli", "experiments"])
+    def test_shell_examples_exit_0(self, heading, written, tmp_path, monkeypatch):
+        from qhydrogen.cli import main
+
+        lines = self.README.splitlines()
+        start = lines.index("```sh", lines.index(heading)) + 1
+        commands = [shlex.split(line, comments=True)
+                    for line in lines[start:lines.index("```", start)]]
+        assert commands and all(argv[0] == "qhydrogen" for argv in commands)
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv[1:]) == 0, argv
+        assert sorted(path.name for path in tmp_path.iterdir()) == written

@@ -19,7 +19,6 @@ and a failed --output write "Error: Could not write file ...".
 
 from __future__ import annotations
 
-import csv
 import gc
 import io
 import math
@@ -143,7 +142,10 @@ def _csv_field(text: str) -> str:
     if not _SPECIAL["csv"](text):
         return text
     # csv.writer has the last word: with "\n" line ends, Python 3.11
-    # leaves a lone "\r" unquoted.
+    # leaves a lone "\r" unquoted.  Imported here, its one use, so that
+    # a command that quotes nothing does not load it.
+    import csv
+
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow((text, ""))
     return buffer.getvalue()[:-2]

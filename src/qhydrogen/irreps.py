@@ -38,11 +38,10 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
-from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
+from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, _set, _Value, qnumber
 
 __all__ = [
     "IrrepMatrices",
@@ -54,8 +53,7 @@ __all__ = [
     "verify_so4_limit",
 ]
 
-@dataclass(frozen=True, eq=False)
-class IrrepMatrices:
+class IrrepMatrices(_Value):
     """Generators on one spin-j module, basis ordered by descending m.
 
     ``brackets`` holds the integer brackets [k], k = 0..2j (and [1] at
@@ -70,19 +68,35 @@ class IrrepMatrices:
     floats are all that the module stores.
     """
 
+    __slots__ = ("j", "d", "ladder", "brackets", "half_brackets")
+    __match_args__ = __slots__
+
     j: SpinLabel
     d: DeformationParameter
     ladder: tuple[float, ...]
     brackets: tuple[float, ...]
-    half_brackets: tuple[float, ...] | None = None
+    half_brackets: tuple[float, ...] | None
+
+    def __init__(
+        self,
+        j: SpinLabel,
+        d: DeformationParameter,
+        ladder: tuple[float, ...],
+        brackets: tuple[float, ...],
+        half_brackets: tuple[float, ...] | None = None,
+    ) -> None:
+        _set(self, "j", j)
+        _set(self, "d", d)
+        _set(self, "ladder", ladder)
+        _set(self, "brackets", brackets)
+        _set(self, "half_brackets", half_brackets)
 
     @property
     def dim(self) -> int:
         return self.j.dim
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     """Outcome of one operator-identity check.
 
     ``max_abs_deviation`` is the largest entry of the residual after
@@ -92,10 +106,32 @@ class VerificationReport:
     to their own scale.
     """
 
+    __slots__ = ("relation_name", "max_abs_deviation", "tolerance", "passed")
+    __match_args__ = __slots__
+
     relation_name: str
     max_abs_deviation: float
     tolerance: float
     passed: bool
+
+    def __init__(
+        self, relation_name: str, max_abs_deviation: float, tolerance: float, passed: bool
+    ) -> None:
+        _set(self, "relation_name", relation_name)
+        _set(self, "max_abs_deviation", max_abs_deviation)
+        _set(self, "tolerance", tolerance)
+        _set(self, "passed", passed)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            # Tuples, as a caller's NaN tolerance is then equal to itself.
+            return ((self.relation_name, self.max_abs_deviation, self.tolerance, self.passed)
+                    == (other.relation_name, other.max_abs_deviation, other.tolerance,
+                        other.passed))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.relation_name, self.max_abs_deviation, self.tolerance, self.passed))
 
 
 def _verdict(
@@ -222,7 +258,7 @@ def verify_commutators(r: IrrepMatrices, tol: float) -> list[VerificationReport]
     up = _band_report(r, "[Iz,I+] = +I+", raised, u, tol)
     return [
         up,
-        replace(up, relation_name="[Iz,I-] = -I-"),
+        VerificationReport("[Iz,I-] = -I-", up.max_abs_deviation, up.tolerance, up.passed),
         _band_report(r, "[I+,I-] = [2Iz]", closed, doubled, tol),
     ]
 

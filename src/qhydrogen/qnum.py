@@ -17,7 +17,6 @@ function over immutable values, so concurrent use needs no locking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import ClassVar
 
 __all__ = [
@@ -32,8 +31,44 @@ class QNumberOverflowError(OverflowError):
     """[x] left the double-precision range; raised instead of returning inf."""
 
 
-@dataclass(frozen=True)
-class DeformationParameter:
+# Sets a field of a _Value, whose own __setattr__ refuses.
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields in ``__slots__``, in repr order, sets
+    them in its own ``__init__`` through ``_set`` and defines its own
+    ``__eq__`` and ``__hash__``: written out per class, they cost a
+    fraction of generic ones that loop over ``__slots__``.  Assignment
+    and deletion raise AttributeError.  Copy and pickle restore the
+    stored fields as they are, bit for bit, without calling
+    ``__init__``, so a :meth:`DeformationParameter.from_s` value keeps
+    its s.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            _set(self, name, value)
+
+
+class DeformationParameter(_Value):
     """Real deformation strength q > 0 together with its logarithm s = ln q.
 
     The undeformed point is represented exactly: constructing from
@@ -47,22 +82,33 @@ class DeformationParameter:
     |x| <= 50.
     """
 
+    __slots__ = ("q", "s")
+    __match_args__ = ("q",)
+
     small_s_threshold: ClassVar[float] = 1e-4
 
     q: float
-    s: float = field(init=False, default=0.0)
+    s: float
 
-    def __post_init__(self) -> None:
-        if isinstance(self.q, complex):
+    def __init__(self, q: float) -> None:
+        if isinstance(q, complex):
             raise TypeError(
                 "q must be a positive real; phase (complex unit-circle) "
                 "deformations are not supported"
             )
-        q = float(self.q)
-        if not math.isfinite(q) or q <= 0.0:
-            raise ValueError(f"q must be a finite positive real, got {self.q!r}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "s", math.log(q))
+        value = float(q)
+        if not math.isfinite(value) or value <= 0.0:
+            raise ValueError(f"q must be a finite positive real, got {q!r}")
+        _set(self, "q", value)
+        _set(self, "s", math.log(value))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.q == other.q and self.s == other.s
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.s))
 
     @classmethod
     def from_s(cls, s: float) -> "DeformationParameter":
@@ -77,25 +123,56 @@ class DeformationParameter:
         if q == 0.0:
             raise ValueError(f"s = {s!r} puts q = e^s outside the floating range")
         d = cls(q)
-        object.__setattr__(d, "s", s)
+        _set(d, "s", s)
         return d
 
 
-@dataclass(frozen=True, order=True)
-class SpinLabel:
+class SpinLabel(_Value):
     """Non-negative half-integer spin j, stored exactly as the integer 2j.
 
     Storing twice j sidesteps floating equality on half-integers; the
     parity of ``twice_j`` distinguishes integer from half-integer spin.
     """
 
+    __slots__ = ("twice_j",)
+    __match_args__ = __slots__
+
     twice_j: int
 
-    def __post_init__(self) -> None:
-        if isinstance(self.twice_j, bool) or not isinstance(self.twice_j, int):
-            raise TypeError(f"twice_j must be an int, got {self.twice_j!r}")
-        if self.twice_j < 0:
-            raise ValueError(f"twice_j must be >= 0, got {self.twice_j}")
+    def __init__(self, twice_j: int) -> None:
+        if isinstance(twice_j, bool) or not isinstance(twice_j, int):
+            raise TypeError(f"twice_j must be an int, got {twice_j!r}")
+        if twice_j < 0:
+            raise ValueError(f"twice_j must be >= 0, got {twice_j}")
+        _set(self, "twice_j", twice_j)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.twice_j == other.twice_j
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.twice_j,))
+
+    def __lt__(self, other: SpinLabel) -> bool:
+        if other.__class__ is self.__class__:
+            return self.twice_j < other.twice_j
+        return NotImplemented
+
+    def __le__(self, other: SpinLabel) -> bool:
+        if other.__class__ is self.__class__:
+            return self.twice_j <= other.twice_j
+        return NotImplemented
+
+    def __gt__(self, other: SpinLabel) -> bool:
+        if other.__class__ is self.__class__:
+            return self.twice_j > other.twice_j
+        return NotImplemented
+
+    def __ge__(self, other: SpinLabel) -> bool:
+        if other.__class__ is self.__class__:
+            return self.twice_j >= other.twice_j
+        return NotImplemented
 
     @property
     def dim(self) -> int:

@@ -24,11 +24,10 @@ convert it; the CLI applies them to its output only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
 
-from .qnum import DeformationParameter, SpinLabel, qnumber
+from .qnum import DeformationParameter, SpinLabel, _set, _Value, qnumber
 
 Mode = Literal["deformed", "undeformed"]
 
@@ -73,8 +72,7 @@ class NonPositiveDenominatorError(ArithmeticError):
         )
 
 
-@dataclass(frozen=True)
-class QuantumState:
+class QuantumState(_Value):
     """One coupled basis state; the common spin j with weights 2m and 2p.
 
     Both copies carry the same j by construction.  The deformed-mode
@@ -82,13 +80,28 @@ class QuantumState:
     here, so undeformed enumeration can range over all (m, p) pairs.
     """
 
+    __slots__ = ("j", "twice_m", "twice_p")
+    __match_args__ = __slots__
+
     j: SpinLabel
     twice_m: int
     twice_p: int
 
-    def __post_init__(self) -> None:
-        _check_weight(self.j, self.twice_m, "twice_m")
-        _check_weight(self.j, self.twice_p, "twice_p")
+    def __init__(self, j: SpinLabel, twice_m: int, twice_p: int) -> None:
+        _check_weight(j, twice_m, "twice_m")
+        _check_weight(j, twice_p, "twice_p")
+        _set(self, "j", j)
+        _set(self, "twice_m", twice_m)
+        _set(self, "twice_p", twice_p)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.j == other.j and self.twice_m == other.twice_m
+                    and self.twice_p == other.twice_p)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.j, self.twice_m, self.twice_p))
 
 
 class EnergyLevel(NamedTuple):

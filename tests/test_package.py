@@ -137,6 +137,29 @@ def test_cli_needs_no_third_party_package():
     assert done.stdout == b"False\n"
 
 
+# Runs in a fresh interpreter: the modules that importing the package
+# newly loads.  Compared before and after, so a module that the
+# interpreter's start-up already loaded does not count.
+_NEWLY_LOADED = """
+import sys
+before = set(sys.modules)
+import qhydrogen, qhydrogen.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+# dataclasses alone pulls in inspect, ast, dis and tokenize; csv is only
+# needed to quote a CSV field, which `_csv_field` imports on demand.
+_NOT_ON_IMPORT = ["dataclasses", "inspect", "ast", "dis", "tokenize", "csv"]
+
+
+def test_import_leaves_unneeded_modules_unloaded():
+    done = run_python("-c", _NEWLY_LOADED)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.decode().split()
+    assert "qhydrogen.cli" in loaded
+    assert [name for name in _NOT_ON_IMPORT if name in loaded] == []
+
+
 def load_spans():
     """perfbench/spans.py, the benchmark's tracer, loaded without its harness."""
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")

@@ -41,6 +41,7 @@ FIELDS = {
 # would change the s of this value.
 FROM_S = DeformationParameter.from_s(0.3)
 Q2 = DeformationParameter(2.0)
+NAN = float("nan")
 
 
 def _samples():
@@ -116,12 +117,13 @@ def test_from_s_round_trip_keeps_the_given_s():
 
 @VALUES
 def test_assignment_and_deletion_raise(value):
+    before = copy.deepcopy(value)
     for name in (*FIELDS[type(value)], "extra"):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
             delattr(value, name)
-    assert _same_bits(value, copy.deepcopy(value))
+    assert _same_bits(value, before)
 
 
 class TestEquality:
@@ -134,6 +136,8 @@ class TestEquality:
             (QuantumState(SpinLabel(1), 1, -1), QuantumState(SpinLabel(1), 1, -1)),
             (VerificationReport("r", 0.5, 1e-12, False),
              VerificationReport("r", 0.5, 1e-12, False)),
+            # A caller's NaN tolerance, one float object in both reports.
+            (VerificationReport("r", 0.5, NAN, False), VerificationReport("r", 0.5, NAN, False)),
         ]
         for a, b in pairs:
             assert a == b and not a != b

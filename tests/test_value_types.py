@@ -178,12 +178,6 @@ class TestEquality:
         assert r == r and r != twin and hash(r) == object.__hash__(r)
         assert len({r, twin}) == 2
 
-    def test_usable_as_keys(self):
-        table = {SpinLabel(2): "a", (SpinLabel(1), 0): "b", DeformationParameter(1.3): "c"}
-        assert table[SpinLabel(2)] == "a"
-        assert table[(SpinLabel(1), 0)] == "b"
-        assert table[DeformationParameter(1.3)] == "c"
-
 
 class TestOrdering:
     def test_spin_labels_order_by_twice_j(self):

@@ -70,6 +70,9 @@ class IrrepMatrices(_Value):
 
     __slots__ = ("j", "d", "ladder", "brackets", "half_brackets")
     __match_args__ = __slots__
+    # Equal only to itself, like a dataclass with eq=False.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     j: SpinLabel
     d: DeformationParameter
@@ -121,17 +124,6 @@ class VerificationReport(_Value):
         _set(self, "max_abs_deviation", max_abs_deviation)
         _set(self, "tolerance", tolerance)
         _set(self, "passed", passed)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            # Tuples, as a caller's NaN tolerance is then equal to itself.
-            return ((self.relation_name, self.max_abs_deviation, self.tolerance, self.passed)
-                    == (other.relation_name, other.max_abs_deviation, other.tolerance,
-                        other.passed))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.relation_name, self.max_abs_deviation, self.tolerance, self.passed))
 
 
 def _verdict(

@@ -17,6 +17,7 @@ function over immutable values, so concurrent use needs no locking.
 from __future__ import annotations
 
 import math
+from functools import total_ordering
 from typing import ClassVar
 
 __all__ = [
@@ -38,14 +39,15 @@ _set = object.__setattr__
 class _Value:
     """Base of the package's immutable value types.
 
-    A subclass lists its fields in ``__slots__``, in repr order, sets
-    them in its own ``__init__`` through ``_set`` and defines its own
-    ``__eq__`` and ``__hash__``: written out per class, they cost a
-    fraction of generic ones that loop over ``__slots__``.  Assignment
-    and deletion raise AttributeError.  Copy and pickle restore the
-    stored fields as they are, bit for bit, without calling
-    ``__init__``, so a :meth:`DeformationParameter.from_s` value keeps
-    its s.
+    A subclass lists its fields in ``__slots__``, in repr order, and
+    sets them in its own ``__init__`` through ``_set``.  The field tuple
+    of ``__getstate__`` serves repr, equality, hashing, copy and pickle:
+    two values are equal when they are of one class with equal field
+    tuples (so a NaN field is equal to itself), and a value hashes as
+    its field tuple.  Assignment and deletion raise AttributeError.
+    Copy and pickle restore the stored fields as they are, bit for bit,
+    without calling ``__init__``, so a
+    :meth:`DeformationParameter.from_s` value keeps its s.
     """
 
     __slots__ = ()
@@ -59,6 +61,14 @@ class _Value:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__getstate__() == other.__getstate__()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__getstate__())
 
     def __getstate__(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -102,14 +112,6 @@ class DeformationParameter(_Value):
         _set(self, "q", value)
         _set(self, "s", math.log(value))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.q == other.q and self.s == other.s
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.s))
-
     @classmethod
     def from_s(cls, s: float) -> "DeformationParameter":
         """Build from s = ln q, storing the given s bit-exactly."""
@@ -127,6 +129,7 @@ class DeformationParameter(_Value):
         return d
 
 
+@total_ordering
 class SpinLabel(_Value):
     """Non-negative half-integer spin j, stored exactly as the integer 2j.
 
@@ -146,32 +149,9 @@ class SpinLabel(_Value):
             raise ValueError(f"twice_j must be >= 0, got {twice_j}")
         _set(self, "twice_j", twice_j)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.twice_j == other.twice_j
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.twice_j,))
-
     def __lt__(self, other: SpinLabel) -> bool:
         if other.__class__ is self.__class__:
             return self.twice_j < other.twice_j
-        return NotImplemented
-
-    def __le__(self, other: SpinLabel) -> bool:
-        if other.__class__ is self.__class__:
-            return self.twice_j <= other.twice_j
-        return NotImplemented
-
-    def __gt__(self, other: SpinLabel) -> bool:
-        if other.__class__ is self.__class__:
-            return self.twice_j > other.twice_j
-        return NotImplemented
-
-    def __ge__(self, other: SpinLabel) -> bool:
-        if other.__class__ is self.__class__:
-            return self.twice_j >= other.twice_j
         return NotImplemented
 
     @property

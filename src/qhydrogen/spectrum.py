@@ -94,15 +94,6 @@ class QuantumState(_Value):
         _set(self, "twice_m", twice_m)
         _set(self, "twice_p", twice_p)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.j == other.j and self.twice_m == other.twice_m
-                    and self.twice_p == other.twice_p)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.j, self.twice_m, self.twice_p))
-
 
 class EnergyLevel(NamedTuple):
     """One row of a level table, an immutable named tuple.
@@ -232,12 +223,12 @@ def level_table(j_max: SpinLabel, d: DeformationParameter, mode: Mode) -> list[E
     output is deterministic even where levels coincide (e.g. at q = 1).
 
     Deformed energies are evaluated from the 2j_max + 3 brackets [k/2],
-    each computed once: every row adds [j+1], the one bracket it reads
-    that no earlier row did.  They are combined in the operation order
-    of :func:`denominator`, so every row equals
-    ``energy(j, twice_abs_m, d)`` bit for bit, and a failure is raised
-    by the first failing row in ascending (j, |m|) order, as a
-    row-by-row evaluation would raise it.
+    each computed once: each spin adds [j+1], once, at its first row,
+    the one bracket its rows read that no smaller spin did.  They are
+    combined in the operation order of :func:`denominator`, so every
+    row equals ``energy(j, twice_abs_m, d)`` bit for bit, and a failure
+    is raised by the first failing row in ascending (j, |m|) order, as
+    a row-by-row evaluation would raise it.
     """
     _check_mode(mode)
     spins = map(SpinLabel, range(j_max.twice_j + 1))

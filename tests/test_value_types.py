@@ -144,6 +144,14 @@ class TestEquality:
             assert hash(a) == hash(b)
             assert a is not b
 
+    @pytest.mark.parametrize(
+        "value",
+        [v for _, v, _ in SAMPLES if type(v) is not IrrepMatrices],
+        ids=[i for i, v, _ in SAMPLES if type(v) is not IrrepMatrices],
+    )
+    def test_hash_is_the_hash_of_the_field_tuple(self, value):
+        assert hash(value) == hash(tuple(getattr(value, name) for name in FIELDS[type(value)]))
+
     def test_every_field_takes_part(self):
         unequal = [
             (SpinLabel(3), SpinLabel(4)),

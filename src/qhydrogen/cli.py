@@ -461,6 +461,9 @@ def _at_least(minimum: int) -> Callable[[str], int]:
             raise ValueError(f"{text!r} is not a valid integer range.") from None
         if value < minimum:
             raise ValueError(f"{value} is not in the range x>={minimum}.")
+        if value > sys.maxsize:
+            # Beyond an index: refused before anything is sized by it.
+            raise ValueError(f"{value} is not in the range {minimum}<=x<={sys.maxsize}.")
         return value
     return convert
 

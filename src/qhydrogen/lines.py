@@ -94,7 +94,15 @@ def _check_level(key: LevelKey) -> None:
 def _line(upper: LevelKey, e_upper: float, lower: LevelKey, e_lower: float) -> TransitionLine:
     delta_ry = e_upper - e_lower
     wavenumber = delta_ry * RYDBERG_PER_CM
-    return TransitionLine(upper, lower, delta_ry, wavenumber, 1e7 / wavenumber)
+    wavelength = 1e7 / wavenumber
+    if math.isinf(wavelength):
+        # Energies lie in [-1, 0) as D > 2, so only a subnormal delta_ry gets here.
+        raise QNumberOverflowError(
+            f"line between levels (twice_j={upper[0].twice_j}, twice_abs_m={upper[1]}) and "
+            f"(twice_j={lower[0].twice_j}, twice_abs_m={lower[1]}) has a wavelength "
+            f"beyond double precision at delta_energy={delta_ry!r}"
+        )
+    return TransitionLine(upper, lower, delta_ry, wavenumber, wavelength)
 
 
 def transition(upper: LevelKey, lower: LevelKey, d: DeformationParameter) -> TransitionLine:
@@ -103,7 +111,9 @@ def transition(upper: LevelKey, lower: LevelKey, d: DeformationParameter) -> Tra
     The arguments need not be ordered; the returned ``upper`` is the
     endpoint with the higher energy.  Raises
     :class:`DegenerateTransitionError` when the two energies are
-    exactly equal, and ValueError for a negative |m|.
+    exactly equal, ValueError for a negative |m|, and
+    :class:`~qhydrogen.qnum.QNumberOverflowError` when the wavelength
+    of the line is beyond a double.
     """
     _check_level(upper)
     _check_level(lower)
@@ -129,6 +139,9 @@ def series_table(
     the table's tie order, i.e. the smallest (j, |m|).  Sorted by
     ascending transition energy, in Rydberg like every energy here;
     empty if nothing lies above.  A negative lower |m| raises ValueError.
+    A line whose wavelength is beyond a double (at large j and q, two
+    levels can differ by a subnormal energy) raises
+    :class:`~qhydrogen.qnum.QNumberOverflowError`, naming both levels.
     """
     if j_max < lower_j:
         raise ValueError(

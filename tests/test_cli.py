@@ -8,13 +8,22 @@ import json
 import math
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qhydrogen.cli import _CHUNK_ROWS, _FRACTION_COLUMNS, _half, _linspace, _render, main
+from qhydrogen.cli import (
+    _CHUNK_ROWS,
+    _FRACTION_COLUMNS,
+    _at_least,
+    _half,
+    _linspace,
+    _render,
+    main,
+)
 from qhydrogen.irreps import build_irrep, casimir_identity_report, verify_commutators
 from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel
 from qhydrogen.spectrum import energy, level_table
@@ -459,6 +468,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: {per_spin.value}\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_lines_wavelength_overflow_is_2(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "lines", "--q", "2", "--lower-j", "1020",
+                                 "--lower-m", "1020", "--j-max", "1021", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line between levels (twice_j=1019, twice_abs_m=1017)")
+        assert err.count("\n") == 1 and "wavelength beyond double precision" in err
+
     def test_lines_j_max_below_lower_is_validation(self, capsys):
         code, _, _ = run_cli(capsys, "lines", "--lower-j", "4", "--j-max", "2")
         assert code == 1
@@ -626,6 +643,32 @@ class TestParser:
         assert (code, out) == (1, "")
         assert err.startswith("Error: ") and "Traceback" not in err
         assert message in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["scan", "--j", "1", "--s-count", "{}"], "--s-count"),
+            (["states", "--j", "{}"], "--j"),
+            (["dump-irrep", "--j", "{}", "--operator", "iz"], "--j"),
+        ],
+        ids=["scan-s-count", "states-j", "dump-irrep-j"],
+    )
+    def test_integer_beyond_maxsize_exits_1(self, capsys, argv, flag):
+        # 10**400 fails fast even where it is not refused; sys.maxsize + 1
+        # would size lists and loops by it there, so it is checked on the
+        # converter alone below.
+        value = 10**400
+        code, out, err = run_cli(capsys, *(a.format(value) for a in argv))
+        assert (code, out) == (1, "")
+        minimum = 1 if flag == "--s-count" else 0
+        assert err == (f"Error: Invalid value for '{flag}': {value} is not in the range "
+                       f"{minimum}<=x<={sys.maxsize}.\n")
+
+    def test_integer_range_ends_at_maxsize(self):
+        assert _at_least(0)(str(sys.maxsize)) == sys.maxsize
+        with pytest.raises(ValueError, match=rf"^{sys.maxsize + 1} is not in the range "
+                                             rf"1<=x<={sys.maxsize}\.$"):
+            _at_least(1)(str(sys.maxsize + 1))
 
     def test_output_into_a_directory_is_refused_before_the_command_runs(self, capsys, tmp_path):
         # q = 1e300 would exit 2 in the computation; the path is refused first

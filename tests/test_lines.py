@@ -153,6 +153,16 @@ class TestSeriesTable:
         for line in table:
             assert line == transition(line.upper, line.lower, d)
 
+    def test_wavelength_beyond_a_double_raises(self):
+        # At q = 2 the levels near 2j = 1020 differ by subnormal energies,
+        # whose wavelength 1e7 / wavenumber is beyond a double.
+        d = DeformationParameter(2.0)
+        levels = r"\(twice_j=1019, twice_abs_m=1017\) and \(twice_j=1020, twice_abs_m=1020\)"
+        with pytest.raises(QNumberOverflowError, match=levels):
+            series_table(SpinLabel(1020), 1020, SpinLabel(1021), d)
+        with pytest.raises(QNumberOverflowError, match=levels):
+            transition((SpinLabel(1019), 1017), (SpinLabel(1020), 1020), d)
+
     def test_q_one_reproduces_rydberg_differences(self):
         # Lyman analog: lower n = 1
         table = series_table(SpinLabel(0), 0, SpinLabel(8), DeformationParameter(1.0))

@@ -654,8 +654,8 @@ class TestParser:
         ids=["scan-s-count", "states-j", "dump-irrep-j"],
     )
     def test_integer_beyond_maxsize_exits_1(self, capsys, argv, flag):
-        # 10**400 fails fast even where it is not refused; sys.maxsize + 1
-        # would size lists and loops by it there, so it is checked on the
+        # Without the upper bound 10**400 still fails fast, but sys.maxsize + 1
+        # would size lists and loops, so that value is checked on the
         # converter alone below.
         value = 10**400
         code, out, err = run_cli(capsys, *(a.format(value) for a in argv))

@@ -302,11 +302,8 @@ def levels(q, s, twice_j_max, mode, units, fmt, output) -> None:
     unit, factor = _UNIT_FLAGS[units]
     table = level_table(SpinLabel(twice_j_max), d, mode)
     columns = ["twice_j", "twice_abs_m", "n", "energy", "unit", "multiplicity"]
-    rows = [
-        (lv.j.twice_j, lv.twice_abs_m, lv.principal_n, lv.energy_ry * factor, unit,
-         lv.multiplicity)
-        for lv in table
-    ]
+    rows = [(j.twice_j, twice_abs_m, n, e * factor, unit, multiplicity)
+            for j, twice_abs_m, e, multiplicity, n in table]
     config = {"command": "levels", "q": d.q, "s": d.s, "twice_j_max": twice_j_max,
               "mode": mode, "units": unit}
     _write(_render(fmt, config, columns, rows), output)
@@ -333,9 +330,9 @@ def lines(q, s, twice_j_max, lower_twice_j, lower_twice_abs_m, units, fmt, outpu
     columns = ["upper_twice_j", "upper_twice_abs_m", "lower_twice_j", "lower_twice_abs_m",
                "delta_energy", "unit", "wavenumber_per_cm", "wavelength_nm"]
     rows = [
-        (line.upper[0].twice_j, line.upper[1], line.lower[0].twice_j, line.lower[1],
-         line.delta_energy * factor, unit, line.wavenumber_per_cm, line.wavelength_nm)
-        for line in table
+        (upper_j.twice_j, upper_tam, lower_j.twice_j, lower_tam, delta * factor, unit,
+         wavenumber, wavelength)
+        for (upper_j, upper_tam), (lower_j, lower_tam), delta, wavenumber, wavelength in table
     ]
     config = {"command": "lines", "q": d.q, "s": d.s, "twice_j_max": twice_j_max,
               "lower_twice_j": lower_twice_j, "lower_twice_abs_m": lower_twice_abs_m,

@@ -11,16 +11,17 @@ wavelength_nm * wavenumber_per_cm = 1e7.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel
 from .spectrum import (
     RYDBERG_PER_CM,
     _check_weight,
+    _deformed_levels,
     _spin_denominators,
     energy,
     energy_undeformed,
-    level_table,
 )
 
 LevelKey = tuple[SpinLabel, int]
@@ -83,6 +84,12 @@ class ScanRow(NamedTuple):
     flag: str
 
 
+# Each builds a row from the tuple of its fields, as the named tuple's own
+# constructor does, but without the Python frame of its __new__.
+_transition_line = partial(tuple.__new__, TransitionLine)
+_scan_row = partial(tuple.__new__, ScanRow)
+
+
 def _check_level(key: LevelKey) -> None:
     j, twice_abs_m = key
     # Named twice_m so that an invalid weight reads as energy() reports it.
@@ -91,18 +98,24 @@ def _check_level(key: LevelKey) -> None:
         raise ValueError(f"twice_abs_m must be >= 0, got {twice_abs_m}")
 
 
+def _wavelength_overflow(
+    upper: LevelKey, lower: LevelKey, delta_ry: float
+) -> QNumberOverflowError:
+    # Energies lie in [-1, 0) as D > 2, so only a subnormal delta_ry needs this.
+    return QNumberOverflowError(
+        f"line between levels (twice_j={upper[0].twice_j}, twice_abs_m={upper[1]}) and "
+        f"(twice_j={lower[0].twice_j}, twice_abs_m={lower[1]}) has a wavelength "
+        f"beyond double precision at delta_energy={delta_ry!r}"
+    )
+
+
 def _line(upper: LevelKey, e_upper: float, lower: LevelKey, e_lower: float) -> TransitionLine:
     delta_ry = e_upper - e_lower
     wavenumber = delta_ry * RYDBERG_PER_CM
     wavelength = 1e7 / wavenumber
     if math.isinf(wavelength):
-        # Energies lie in [-1, 0) as D > 2, so only a subnormal delta_ry gets here.
-        raise QNumberOverflowError(
-            f"line between levels (twice_j={upper[0].twice_j}, twice_abs_m={upper[1]}) and "
-            f"(twice_j={lower[0].twice_j}, twice_abs_m={lower[1]}) has a wavelength "
-            f"beyond double precision at delta_energy={delta_ry!r}"
-        )
-    return TransitionLine(upper, lower, delta_ry, wavenumber, wavelength)
+        raise _wavelength_overflow(upper, lower, delta_ry)
+    return _transition_line((upper, lower, delta_ry, wavenumber, wavelength))
 
 
 def transition(upper: LevelKey, lower: LevelKey, d: DeformationParameter) -> TransitionLine:
@@ -153,10 +166,18 @@ def series_table(
     e_lower = energy(lower_j, lower_twice_abs_m, d)
     lines: list[TransitionLine] = []
     e_last = e_lower
-    for lv in level_table(j_max, d, "deformed"):
-        if lv.energy_ry > e_last:
-            lines.append(_line((lv.j, lv.twice_abs_m), lv.energy_ry, lower, e_lower))
-            e_last = lv.energy_ry
+    # The rows of the deformed level_table as plain tuples; only their fields are read.
+    for j, twice_abs_m, e, _, _ in _deformed_levels(j_max, d, tuple):
+        if e > e_last:
+            # _line, inlined: this loop runs once per level of the table.
+            delta_ry = e - e_lower
+            wavenumber = delta_ry * RYDBERG_PER_CM
+            wavelength = 1e7 / wavenumber
+            if math.isinf(wavelength):
+                raise _wavelength_overflow((j, twice_abs_m), lower, delta_ry)
+            lines.append(_transition_line(((j, twice_abs_m), lower, delta_ry, wavenumber,
+                                           wavelength)))
+            e_last = e
     return lines
 
 
@@ -179,6 +200,7 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
     twice_abs_ms = range(tj % 2, tj + 1, 2)
     e_flat = energy_undeformed(j)
     rows: list[ScanRow] = []
+    append = rows.append
     for s in s_values:
         s = float(s)
         if not math.isfinite(s):
@@ -190,12 +212,15 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
             denominators = _spin_denominators(tj, d)
         except (ValueError, QNumberOverflowError):
             # q = e^s itself (q stays None) or a bracket leaves the floating range
-            rows.extend(ScanRow(s, q, tj, tam, None, None, "overflow") for tam in twice_abs_ms)
+            for tam in twice_abs_ms:
+                append(_scan_row((s, q, tj, tam, None, None, "overflow")))
             continue
+        # Every row of one s holds the same s and q objects, which the CLI
+        # formats once each.
         for tam, value in zip(twice_abs_ms, denominators):
             if value > 0.0:
                 e = -2.0 / value
-                rows.append(ScanRow(s, q, tj, tam, e, e - e_flat, ""))
+                append(_scan_row((s, q, tj, tam, e, e - e_flat, "")))
             else:
-                rows.append(ScanRow(s, q, tj, tam, None, None, "nonpositive_denominator"))
+                append(_scan_row((s, q, tj, tam, None, None, "nonpositive_denominator")))
     return rows

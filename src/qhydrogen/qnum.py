@@ -10,7 +10,10 @@ these brackets, so this module is the single place where the
 deformation enters numerically.
 
 Near s = 0 the sinh ratio degenerates to 0/0; an even power series in s
-takes over there (see :func:`qnumber`).  Everything here is a pure
+takes over there (see :func:`qnumber`).  Each point of a scan reads a
+run of brackets at one q; ``_qnumbers`` evaluates such a run with one
+sinh(s) and gives each value exactly as :func:`qnumber` does, which
+stays the one definition of the bracket.  Everything here is a pure
 function over immutable values, so concurrent use needs no locking.
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 from functools import total_ordering
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 __all__ = [
     "DeformationParameter",
@@ -222,3 +225,36 @@ def qnumber(x: float, d: DeformationParameter) -> float:
     if abs(s) < threshold and abs(s) * x < 50.0 * threshold:
         return _series_eval(x, s)
     return _sinh_ratio_eval(x, s)
+
+
+def _qnumbers(xs: Sequence[float], d: DeformationParameter) -> list[float]:
+    """``[qnumber(x, d) for x in xs]`` for ascending, finite floats x >= 0.
+
+    Bit for bit the same values, with one sinh(s) for the whole run:
+    the x below the series limit form a prefix (|s| x grows with x) and
+    go through the series as in :func:`qnumber`, every other x through
+    the ratio.  Where anything overflows (sinh(s) itself, some sinh(s x),
+    or a ratio) the run is handed back to :func:`qnumber`, so its error
+    is raised with its message, at the first x that fails.
+    """
+    s = d.s
+    if s == 0.0:
+        return list(xs)
+    a = abs(s)
+    values: list[float] = []
+    threshold = d.small_s_threshold
+    if a < threshold:
+        limit = 50.0 * threshold
+        for x in xs:
+            if not a * x < limit:
+                break
+            values.append(_series_eval(x, s))
+    try:
+        denominator = math.sinh(s)
+        values += map(denominator.__rtruediv__, map(math.sinh, map(s.__mul__, xs[len(values):])))
+    except OverflowError:
+        return [qnumber(x, d) for x in xs]
+    # Every value is >= 0, so an overflowing ratio shows as +inf.
+    if math.inf in values:
+        return [qnumber(x, d) for x in xs]
+    return values

@@ -24,10 +24,11 @@ convert it; the CLI applies them to its output only.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
-from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Iterable, Literal, Mapping, NamedTuple, Sequence
 
-from .qnum import DeformationParameter, SpinLabel, _set, _Value, qnumber
+from .qnum import DeformationParameter, SpinLabel, _qnumbers, _set, _Value, qnumber
 
 Mode = Literal["deformed", "undeformed"]
 
@@ -111,6 +112,11 @@ class EnergyLevel(NamedTuple):
     principal_n: int
 
 
+# Builds a row from the tuple of its fields, as EnergyLevel(...) does, but
+# without the Python frame of the named tuple's __new__.
+_energy_level = partial(tuple.__new__, EnergyLevel)
+
+
 def _check_weight(j: SpinLabel, value: int, name: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {value!r}")
@@ -133,9 +139,9 @@ def _denominators(
     arguments only: [m-1] for |m| < 1 is taken as -[1-|m|], the odd
     reflection qnumber itself applies to a negative argument.
     """
-    bj, bj1 = b[twice_j], b[twice_j + 2]
+    j_term = 8.0 * (b[twice_j] * b[twice_j + 2])  # 8[j][j+1], the same in every row
     return [
-        8.0 * (bj * bj1)
+        j_term
         - 4.0 * (b[tam] * (b[tam + 2] + (b[tam - 2] if tam >= 2 else -b[2 - tam])))
         + 2.0 * (tam * tam)  # 8 m^2
         + 2.0
@@ -147,14 +153,15 @@ def _spin_denominators(twice_j: int, d: DeformationParameter) -> list[float]:
     """D at spin j for every 2|m| of the spin, ascending.
 
     Evaluates the brackets [k/2] with k of 2j's parity, k <= 2j+2 (no
-    other is read at spin j), once each and in ascending k.  Brackets
-    grow in magnitude with k, so the first one beyond a double raises
-    its :class:`QNumberOverflowError` here, before any D is formed.
+    other is read at spin j), once each, in ascending k and with one
+    sinh(s) (``qnum._qnumbers``).  Brackets grow in magnitude with k, so
+    the first one beyond a double raises its
+    :class:`QNumberOverflowError` here, before any D is formed.
     """
+    parity = twice_j % 2
     b: list = [None] * (twice_j + 3)
-    for k in range(twice_j % 2, twice_j + 3, 2):
-        b[k] = qnumber(k / 2.0, d)
-    return _denominators(twice_j, b, range(twice_j % 2, twice_j + 1, 2))
+    b[parity::2] = _qnumbers([k / 2.0 for k in range(parity, twice_j + 3, 2)], d)
+    return _denominators(twice_j, b, range(parity, twice_j + 1, 2))
 
 
 def denominator(j: SpinLabel, twice_m: int, d: DeformationParameter) -> float:
@@ -214,13 +221,13 @@ def enumerate_states(j: SpinLabel, mode: Mode) -> list[QuantumState]:
     return states
 
 
-def level_table(j_max: SpinLabel, d: DeformationParameter, mode: Mode) -> list[EnergyLevel]:
-    """Energy levels for every spin j <= j_max (integer and half-integer).
+def _deformed_levels(
+    j_max: SpinLabel, d: DeformationParameter, make_row: Callable[[tuple], tuple]
+) -> list[tuple]:
+    """The deformed :func:`level_table`, each row made by ``make_row`` from its fields.
 
-    Deformed mode emits one level per (j, |m|); undeformed mode one per
-    j with the full n^2 multiplicity.  Rows are sorted by ascending
-    energy with ties broken by ascending j then ascending |m|, so the
-    output is deterministic even where levels coincide (e.g. at q = 1).
+    ``make_row`` is ``_energy_level`` for the table itself, or ``tuple``
+    for a caller that only reads the fields.
 
     Deformed energies are evaluated from the 2j_max + 3 brackets [k/2],
     each computed once: each spin adds [j+1], once, at its first row,
@@ -230,25 +237,40 @@ def level_table(j_max: SpinLabel, d: DeformationParameter, mode: Mode) -> list[E
     is raised by the first failing row in ascending (j, |m|) order, as
     a row-by-row evaluation would raise it.
     """
-    _check_mode(mode)
-    spins = map(SpinLabel, range(j_max.twice_j + 1))
-    if mode == "undeformed":
-        # -1/n^2 rises with n, so ascending j is already the sorted order.
-        return [EnergyLevel(j, 0, energy_undeformed(j), j.dim * j.dim, j.dim) for j in spins]
     b = [qnumber(0.0, d), qnumber(0.5, d)]
-    levels: list[EnergyLevel] = []
-    for j in spins:
+    rows: list[tuple] = []
+    append = rows.append
+    for j in map(SpinLabel, range(j_max.twice_j + 1)):
         tj, n = j.twice_j, j.dim
         b.append(qnumber((tj + 2) / 2.0, d))
         twice_abs_ms = range(tj % 2, tj + 1, 2)
         for tam, value in zip(twice_abs_ms, _denominators(tj, b, twice_abs_ms)):
             if not value > 0.0:
                 raise NonPositiveDenominatorError(tj, tam, d.q, value)
-            levels.append(EnergyLevel(j, tam, -2.0 / value, 1 if tam == 0 else 4, n))
+            append(make_row((j, tam, -2.0 / value, 1 if tam == 0 else 4, n)))
     # Rows were appended in ascending (j, |m|), so a stable sort on the
     # energy alone breaks ties in that order.
-    levels.sort(key=attrgetter("energy_ry"))
-    return levels
+    rows.sort(key=itemgetter(2))
+    return rows
+
+
+def level_table(j_max: SpinLabel, d: DeformationParameter, mode: Mode) -> list[EnergyLevel]:
+    """Energy levels for every spin j <= j_max (integer and half-integer).
+
+    Deformed mode emits one level per (j, |m|); undeformed mode one per
+    j with the full n^2 multiplicity.  Rows are sorted by ascending
+    energy with ties broken by ascending j then ascending |m|, so the
+    output is deterministic even where levels coincide (e.g. at q = 1).
+    Deformed rows equal ``energy(j, twice_abs_m, d)`` bit for bit, and
+    a failure is raised as a row-by-row evaluation would raise it
+    (``_deformed_levels``).
+    """
+    _check_mode(mode)
+    if mode == "undeformed":
+        # -1/n^2 rises with n, so ascending j is already the sorted order.
+        return [_energy_level((j, 0, energy_undeformed(j), j.dim * j.dim, j.dim))
+                for j in map(SpinLabel, range(j_max.twice_j + 1))]
+    return _deformed_levels(j_max, d, _energy_level)
 
 
 def degeneracy_summary(j: SpinLabel) -> tuple[int, int]:

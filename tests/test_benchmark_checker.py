@@ -1,9 +1,9 @@
 """The benchmark's own checker passes a block of its ops, run in-process.
 
 `perfbench/check.py` judges every op of a benchmark run against goldens
-and oracles.  Running one seeded block of small-requests and one of
-algebra-verify through `perfbench/worker.py` here shows a wrong output
-before a benchmark run counts it as incorrect.
+and oracles.  Running one seeded block of each workload through
+`perfbench/worker.py` here shows a wrong output before a benchmark run
+counts it as incorrect.
 """
 
 import io
@@ -36,7 +36,7 @@ def perfbench():
         mpmath.mp.prec = prec
 
 
-@pytest.mark.parametrize("workload", ["small-requests", "algebra-verify"])
+@pytest.mark.parametrize("workload", ["small-requests", "algebra-verify", "bulk-tables"])
 def test_one_block_passes_the_checker(perfbench, workload):
     check, gen, worker = perfbench
     (block,) = gen.generate(workload, 1, 1)

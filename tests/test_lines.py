@@ -1,6 +1,7 @@
 """Tests for transition lines, series tables and splitting scans."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,12 +15,20 @@ from qhydrogen.lines import (
     splitting_scan,
     transition,
 )
-from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
+from qhydrogen.qnum import (
+    DeformationParameter,
+    QNumberOverflowError,
+    SpinLabel,
+    _qnumbers,
+    qnumber,
+)
 from qhydrogen.spectrum import (
     RYDBERG_PER_CM,
+    EnergyLevel,
     NonPositiveDenominatorError,
     energy,
     energy_undeformed,
+    level_table,
 )
 
 
@@ -45,6 +54,36 @@ class TestRowTypes:
             "delta_energy=0.75, wavenumber_per_cm=82302.98676, wavelength_nm=121.50227341275652)")
         assert repr(row) == ("ScanRow(s=800.0, q=None, twice_j=0, twice_abs_m=0, "
                              "energy_ry=None, deviation_ry=None, flag='overflow')")
+
+
+    @pytest.mark.parametrize(
+        "cls, build",
+        [
+            (EnergyLevel, lambda: level_table(SpinLabel(7), DeformationParameter(1.3), "deformed")),
+            (EnergyLevel, lambda: level_table(SpinLabel(7), DeformationParameter(1.3),
+                                              "undeformed")),
+            (TransitionLine, lambda: series_table(SpinLabel(1), 1, SpinLabel(7),
+                                                  DeformationParameter(0.7))),
+            # clean rows, "overflow" rows with and without q, and at 2j = 1030
+            # and q = 2 "nonpositive_denominator" rows
+            (ScanRow, lambda: splitting_scan(SpinLabel(5), [-0.4, 0.0, 1e-6, 300.0, 800.0])),
+            (ScanRow, lambda: splitting_scan(SpinLabel(1030), [math.log(2.0)])),
+        ],
+        ids=["levels", "levels-undeformed", "series", "scan", "scan-nan"],
+    )
+    def test_built_rows_are_the_named_tuples(self, cls, build):
+        # The builders make rows without calling the named tuple's
+        # constructor; each row must still be what that constructor makes.
+        rows = build()
+        assert rows
+        for row in rows:
+            made = cls(*row)
+            assert type(row) is cls
+            assert row == made
+            assert repr(row) == repr(made)
+            assert row._asdict() == made._asdict()
+            back = pickle.loads(pickle.dumps(row))
+            assert type(back) is cls and back == made
 
 
 class TestTransition:
@@ -280,7 +319,9 @@ class TestSplittingScan:
     @pytest.mark.parametrize("tj", [0, 1, 2, 7, 10])
     def test_one_bracket_parity_per_point(self, monkeypatch, tj):
         # A spin reads only the brackets [k/2] with k of the parity of 2j,
-        # k <= 2j+2, so one scan point evaluates each of those once.
+        # k <= 2j+2, so one scan point evaluates each of those once.  The
+        # scan evaluates them as one run of the vector form; a scalar call
+        # would be counted too.
         import qhydrogen.spectrum
 
         seen = []
@@ -289,7 +330,12 @@ class TestSplittingScan:
             seen.append(x)
             return qnumber(x, d)
 
+        def recorded_run(xs, d):
+            seen.extend(xs)
+            return _qnumbers(xs, d)
+
         monkeypatch.setattr(qhydrogen.spectrum, "qnumber", recorded)
+        monkeypatch.setattr(qhydrogen.spectrum, "_qnumbers", recorded_run)
         rows = splitting_scan(SpinLabel(tj), [0.37])
         assert len(seen) == (tj + 2 - tj % 2) // 2 + 1
         assert sorted(seen) == [k / 2.0 for k in range(tj % 2, tj + 3, 2)]

@@ -11,6 +11,7 @@ from qhydrogen.qnum import (
     DeformationParameter,
     QNumberOverflowError,
     SpinLabel,
+    _qnumbers,
     _series_eval,
     _sinh_ratio_eval,
     qnumber,
@@ -238,6 +239,88 @@ class TestQNumberErrors:
             qnumber(math.inf, d)
         with pytest.raises(ValueError):
             qnumber(math.nan, d)
+
+
+def scalar_run(xs, d):
+    """``[qnumber(x, d) for x in xs]`` as float.hex texts, or the error text it raises."""
+    try:
+        return [qnumber(x, d).hex() for x in xs]
+    except QNumberOverflowError as exc:
+        return str(exc)
+
+
+def vector_run(xs, d):
+    """The same for ``_qnumbers(xs, d)``."""
+    try:
+        return [value.hex() for value in _qnumbers(xs, d)]
+    except QNumberOverflowError as exc:
+        return str(exc)
+
+
+def halves(twice_j):
+    """The ascending arguments [k/2] a spin reads: k of 2j's parity, k <= 2j+2."""
+    return [k / 2.0 for k in range(twice_j % 2, twice_j + 3, 2)]
+
+
+class TestVectorForm:
+    """``_qnumbers`` gives qnumber's values bit for bit, and raises its errors.
+
+    Values are compared as float.hex texts, so a -0.0 for a 0.0 fails; an
+    error is compared by its text, which names the x that raised it.
+    """
+
+    @pytest.mark.parametrize("s", [0.0, -0.0])
+    def test_undeformed(self, s):
+        d = DeformationParameter.from_s(s)
+        assert vector_run(halves(9), d) == scalar_run(halves(9), d)
+
+    # At +-9e-5, |s| x < 5e-3 up to x = 55.5; at +-LIMIT / 50.5, |s| x
+    # reaches the limit exactly at x = 50.5, which takes the ratio.
+    LIMIT = 50.0 * DeformationParameter.small_s_threshold
+
+    def test_the_limit_is_met_exactly_where_the_branches_differ(self):
+        s, x = self.LIMIT / 50.5, 50.5
+        assert s * x == self.LIMIT
+        assert _series_eval(x, s) != _sinh_ratio_eval(x, s)
+
+    @pytest.mark.parametrize("s", [9e-5, -9e-5, LIMIT / 50.5, -LIMIT / 50.5])
+    def test_series_then_ratio_in_one_run(self, s):
+        d = DeformationParameter.from_s(s)
+        xs = [k / 2.0 for k in range(163)]
+        assert any(abs(s) * x < 5e-3 for x in xs) and any(abs(s) * x >= 5e-3 for x in xs)
+        assert vector_run(xs, d) == scalar_run(xs, d)
+
+    @pytest.mark.parametrize("s", [0.37, -0.37, 1.1, -1.1, math.log(2.0)])
+    @pytest.mark.parametrize("twice_j", [0, 1, 2, 7, 40, 157])
+    def test_ratio(self, s, twice_j):
+        d = DeformationParameter.from_s(s)
+        assert vector_run(halves(twice_j), d) == scalar_run(halves(twice_j), d)
+
+    @pytest.mark.parametrize("twice_j", [0, 1, 2, 3])
+    def test_sinh_s_overflows(self, twice_j):
+        # sinh(-720) is beyond a double: [x] is finite up to x = 1.5, [2] overflows.
+        d = DeformationParameter.from_s(-720.0)
+        expected = scalar_run(halves(twice_j), d)
+        assert vector_run(halves(twice_j), d) == expected
+        assert isinstance(expected, str) == (twice_j >= 2)
+
+    @pytest.mark.parametrize("s", [360.0, 512.5, 700.0])
+    @pytest.mark.parametrize("twice_j", [2, 3, 4, 5, 6])
+    def test_sinh_sx_overflows_before_the_bracket(self, s, twice_j):
+        # The false overflow of sinh(s x) at large s (ROADMAP item 4):
+        # both raise it, with one message, at the same x.
+        d = DeformationParameter.from_s(s)
+        expected = scalar_run(halves(twice_j), d)
+        assert expected.startswith("sinh(s*x) overflows double precision at x=")
+        assert vector_run(halves(twice_j), d) == expected
+
+    def test_infinite_ratio(self):
+        # sinh(s x) is finite and sinh(s) tiny, so only the ratio overflows.
+        d = DeformationParameter.from_s(1e-4)
+        xs = [0.0, 1.0, 7.0e6, 7.095e6, 7.1e6]
+        expected = scalar_run(xs, d)
+        assert expected == "[x] overflows double precision at x=7095000.0, s=0.0001"
+        assert vector_run(xs, d) == expected
 
 
 class TestSeriesCoeffs:

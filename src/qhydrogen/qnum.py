@@ -9,12 +9,13 @@ eigenvalues and the bound-state energies downstream are all built from
 these brackets, so this module is the single place where the
 deformation enters numerically.
 
-Near s = 0 the sinh ratio degenerates to 0/0; an even power series in s
-takes over there (see :func:`qnumber`).  Each point of a scan reads a
-run of brackets at one q; ``_qnumbers`` evaluates such a run with one
-sinh(s) and gives each value exactly as :func:`qnumber` does, which
-stays the one definition of the bracket.  Everything here is a pure
-function over immutable values, so concurrent use needs no locking.
+``_qnumbers`` is the one evaluation of the bracket: it takes a run of
+arguments at one q, with one sinh(s) for the whole run, and
+:func:`qnumber` is its run of one.  Near s = 0 the sinh ratio
+degenerates to 0/0 and an even power series in s takes over; where
+sinh(s) itself overflows, a closed form in e^(-2|s|) does.  Everything
+here is a pure function over immutable values, so concurrent use needs
+no locking.
 """
 
 from __future__ import annotations
@@ -89,10 +90,10 @@ class DeformationParameter(_Value):
     stores q = 1.0.  Complex q (a pure phase deformation) is rejected; real
     positive q keeps every bracket, ladder weight and energy real.
 
-    ``small_s_threshold`` is the fixed |s| = 1e-4 below which
-    :func:`qnumber` switches from the sinh ratio to the power series;
-    there the series truncation error stays under double rounding for
-    |x| <= 50.
+    ``small_s_threshold`` is the fixed |s| = 1e-4 below which the
+    bracket evaluation (``_qnumbers``) switches from the sinh ratio to
+    the power series; there the series truncation error stays under
+    double rounding for |x| <= 50.
     """
 
     __slots__ = ("q", "s")
@@ -175,40 +176,13 @@ def _series_eval(x: float, s: float) -> float:
     return x * (1.0 + t * (x2 - 1.0) / 6.0 + t * t * (x2 - 1.0) * (3.0 * x2 - 7.0) / 360.0)
 
 
-def _sinh_ratio_eval(x: float, s: float) -> float:
-    try:
-        denominator = math.sinh(s)
-    except OverflowError:
-        # |s| > 710.48, where e^(-2|s|) is below double rounding against 1:
-        # [x] = e^(|s|(x-1)) (1 - e^(-2|s|x)) for x >= 0, even in s.
-        a = abs(s)
-        try:
-            return math.exp(a * (x - 1.0)) * -math.expm1(-2.0 * a * x)
-        except OverflowError:
-            raise QNumberOverflowError(
-                f"[x] overflows double precision at x={x!r}, s={s!r}"
-            ) from None
-    try:
-        numerator = math.sinh(s * x)
-    except OverflowError:
-        raise QNumberOverflowError(
-            f"sinh(s*x) overflows double precision at x={x!r}, s={s!r}"
-        ) from None
-    value = numerator / denominator
-    if math.isinf(value):
-        raise QNumberOverflowError(f"[x] overflows double precision at x={x!r}, s={s!r}")
-    return value
-
-
 def qnumber(x: float, d: DeformationParameter) -> float:
     """Evaluate the bracket [x] = sinh(s x)/sinh(s).
 
-    At s = 0 the exact limit x is returned.  For 0 < |s| below the
-    fixed threshold 1e-4 (and |s x| small enough that the truncation
-    error stays below double rounding) the even series in s through s^4
-    is used (docs/derivations.md, section 1); otherwise the sinh
-    ratio.  Negative x goes through [-x] = -[x], which makes the
-    oddness of the bracket exact in floating point.
+    For x >= 0 this is ``_qnumbers((x,), d)``, which gives the exact
+    limit x at s = 0 and otherwise picks the evaluation branch.
+    Negative x goes through [-x] = -[x], which makes the oddness of the
+    bracket exact in floating point.
 
     Raises :class:`QNumberOverflowError` when the result has no finite
     double representation, rather than returning infinity.
@@ -218,43 +192,55 @@ def qnumber(x: float, d: DeformationParameter) -> float:
         raise ValueError(f"x must be finite, got {x!r}")
     if x < 0.0:
         return -qnumber(-x, d)
-    s = d.s
-    if s == 0.0:
-        return x
-    threshold = d.small_s_threshold
-    if abs(s) < threshold and abs(s) * x < 50.0 * threshold:
-        return _series_eval(x, s)
-    return _sinh_ratio_eval(x, s)
+    return _qnumbers((x,), d)[0]
 
 
 def _qnumbers(xs: Sequence[float], d: DeformationParameter) -> list[float]:
-    """``[qnumber(x, d) for x in xs]`` for ascending, finite floats x >= 0.
+    """The brackets [x] for a run of finite floats x >= 0, in order.
 
-    Bit for bit the same values, with one sinh(s) for the whole run:
-    the x below the series limit form a prefix (|s| x grows with x) and
-    go through the series as in :func:`qnumber`, every other x through
-    the ratio.  Where anything overflows (sinh(s) itself, some sinh(s x),
-    or a ratio) the run is handed back to :func:`qnumber`, so its error
-    is raised with its message, at the first x that fails.
+    The one evaluation of the bracket, with one sinh(s) per call.  At
+    s = 0 each x is its own limit.  Each other x takes one of three
+    branches: the even series in s through s^4 (docs/derivations.md,
+    section 1) where |s| is below the fixed threshold 1e-4 and |s| x
+    below 50 times it, so that the truncation error stays below double
+    rounding; the far form e^(|s|(x-1)) (1 - e^(-2|s|x)) where sinh(s)
+    itself overflows; the ratio sinh(s x)/sinh(s) otherwise.
+
+    Raises :class:`QNumberOverflowError` at the first x whose sinh(s x)
+    or whose bracket has no finite double representation.
     """
     s = d.s
     if s == 0.0:
         return list(xs)
     a = abs(s)
-    values: list[float] = []
     threshold = d.small_s_threshold
-    if a < threshold:
-        limit = 50.0 * threshold
-        for x in xs:
-            if not a * x < limit:
-                break
-            values.append(_series_eval(x, s))
+    limit = 50.0 * threshold if a < threshold else 0.0
     try:
         denominator = math.sinh(s)
-        values += map(denominator.__rtruediv__, map(math.sinh, map(s.__mul__, xs[len(values):])))
     except OverflowError:
-        return [qnumber(x, d) for x in xs]
-    # Every value is >= 0, so an overflowing ratio shows as +inf.
-    if math.inf in values:
-        return [qnumber(x, d) for x in xs]
+        # |s| > 710.48, where e^(-2|s|) is below double rounding against 1.
+        denominator = None
+    values: list[float] = []
+    for x in xs:
+        if a * x < limit:
+            value = _series_eval(x, s)
+        elif denominator is None:
+            try:
+                value = math.exp(a * (x - 1.0)) * -math.expm1(-2.0 * a * x)
+            except OverflowError:
+                raise QNumberOverflowError(
+                    f"[x] overflows double precision at x={x!r}, s={s!r}"
+                ) from None
+        else:
+            try:
+                value = math.sinh(s * x) / denominator
+            except OverflowError:
+                raise QNumberOverflowError(
+                    f"sinh(s*x) overflows double precision at x={x!r}, s={s!r}"
+                ) from None
+            if math.isinf(value):
+                raise QNumberOverflowError(
+                    f"[x] overflows double precision at x={x!r}, s={s!r}"
+                )
+        values.append(value)
     return values

@@ -13,7 +13,7 @@ from qhydrogen.qnum import (
     SpinLabel,
     _qnumbers,
     _series_eval,
-    _sinh_ratio_eval,
+    _set,
     qnumber,
 )
 
@@ -194,7 +194,7 @@ class TestQNumberProperties:
         for s in [0.5e-4, 0.8e-4, 1e-4, 1.5e-4, 2e-4]:
             for x in [0.5, 1.5, 7.0, 25.0, 50.0]:
                 series = _series_eval(x, s)
-                ratio = _sinh_ratio_eval(x, s)
+                ratio = math.sinh(s * x) / math.sinh(s)
                 assert abs(series - ratio) <= 1e-10 * abs(ratio), (s, x)
         assert threshold == DeformationParameter(2.0).small_s_threshold
 
@@ -223,11 +223,14 @@ class TestQNumberErrors:
         with mpmath.workdps(40):
             sm = mpmath.mpf(s)
             want = float(mpmath.sinh(sm * x) / mpmath.sinh(sm))
-        got = _sinh_ratio_eval(x, s)
-        assert abs(got - want) <= 1e-15 * abs(want)
-        # q = e^715 is not a double; the other two go through qnumber
         if abs(s) < 715.0:
-            assert qnumber(x, DeformationParameter.from_s(s)) == got
+            got = qnumber(x, DeformationParameter.from_s(s))
+        else:
+            # q = e^715 is not a double, so a stand-in carries s alone
+            d = object.__new__(DeformationParameter)
+            _set(d, "s", s)
+            got = _qnumbers((x,), d)[0]
+        assert abs(got - want) <= 1e-15 * abs(want)
 
     def test_large_argument_below_overflow_is_finite(self):
         value = qnumber(300.0, DeformationParameter(2.0))
@@ -263,7 +266,10 @@ def halves(twice_j):
 
 
 class TestVectorForm:
-    """``_qnumbers`` gives qnumber's values bit for bit, and raises its errors.
+    """A run of ``_qnumbers`` equals its runs of one, which are ``qnumber``'s values.
+
+    Bit for bit in every value, and an overflowing run raises the error
+    of its first failing x.
 
     Values are compared as float.hex texts, so a -0.0 for a 0.0 fails; an
     error is compared by its text, which names the x that raised it.
@@ -281,7 +287,10 @@ class TestVectorForm:
     def test_the_limit_is_met_exactly_where_the_branches_differ(self):
         s, x = self.LIMIT / 50.5, 50.5
         assert s * x == self.LIMIT
-        assert _series_eval(x, s) != _sinh_ratio_eval(x, s)
+        ratio = math.sinh(s * x) / math.sinh(s)
+        assert _series_eval(x, s) != ratio
+        # The limit itself takes the ratio, bit for bit.
+        assert qnumber(x, DeformationParameter.from_s(s)) == ratio
 
     @pytest.mark.parametrize("s", [9e-5, -9e-5, LIMIT / 50.5, -LIMIT / 50.5])
     def test_series_then_ratio_in_one_run(self, s):
@@ -315,9 +324,10 @@ class TestVectorForm:
         assert vector_run(halves(twice_j), d) == expected
 
     def test_infinite_ratio(self):
-        # sinh(s x) is finite and sinh(s) tiny, so only the ratio overflows.
+        # sinh(s x) is finite and sinh(s) tiny, so only the ratio overflows;
+        # sinh(s x) itself overflows at the last x, after the first failure.
         d = DeformationParameter.from_s(1e-4)
-        xs = [0.0, 1.0, 7.0e6, 7.095e6, 7.1e6]
+        xs = [0.0, 1.0, 7.0e6, 7.095e6, 7.1e6, 7.2e6]
         expected = scalar_run(xs, d)
         assert expected == "[x] overflows double precision at x=7095000.0, s=0.0001"
         assert vector_run(xs, d) == expected

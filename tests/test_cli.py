@@ -141,6 +141,10 @@ class TestGoldenFiles:
             # series-branch brackets, half-integer Casimir brackets included
             ("verify_s1e-6_jmax13.csv",
              ("verify", "--s", "1e-6", "--j-max", "13", "--format", "csv")),
+            # 337 lines in 68 runs of equal delta_energy: each run's text repeated
+            *((f"lines_s2_jmax40.{ext}",
+               ("lines", "--s", "2", "--j-max", "40", "--format", fmt))
+              for fmt, ext in (("csv", "csv"), ("json", "json"), ("table", "txt"))),
         ],
     )
     def test_emitter_bytes(self, capsys, golden, args):

@@ -1,6 +1,7 @@
 """Tests for the q-bracket arithmetic layer."""
 
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -17,6 +18,8 @@ from qhydrogen.qnum import (
     qnumber,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
+
 Q_GRID = [0.5, 0.9, 1.0 + 1e-9, 1.1, 2.0, 5.0]
 X_GRID = [k / 2.0 for k in range(-24, 25)] + [0.3, 1.7, -6.9, 12.0]
 
@@ -28,6 +31,28 @@ def qnumber_highprec(x: float, q: float) -> float:
         if s == 0:
             return float(x)
         return float(mpmath.sinh(s * mpmath.mpf(x)) / mpmath.sinh(s))
+
+
+# The series (|s| 1e-6 and 9e-5 at small x), ratio and far (|s| 720)
+# branches, both signs of s, integer and half-integer x of both signs.
+BIT_S_GRID = [0.0, 1e-6, -1e-6, 9e-5, -9e-5, 0.37, -0.37, 1.1, -1.1, 20.0, -20.0, 720.0, -720.0]
+BIT_X_GRID = [k / 2.0 for k in range(13)] + [50.5, 60.0, 100.5, -0.5, -3.0]
+
+
+def qnumber_bit_lines():
+    """One line "s x value.hex()" per grid point, or "s x <overflow text>"."""
+    lines = []
+    for s in BIT_S_GRID:
+        # q = e^720 is not a double, so a stand-in carries s alone.
+        d = object.__new__(DeformationParameter)
+        _set(d, "s", s)
+        for x in BIT_X_GRID:
+            try:
+                text = qnumber(x, d).hex()
+            except QNumberOverflowError as exc:
+                text = str(exc)
+            lines.append(f"{s!r} {x!r} {text}")
+    return lines
 
 
 def series_coeffs(x: float) -> list[float]:
@@ -231,6 +256,13 @@ class TestQNumberErrors:
             _set(d, "s", s)
             got = _qnumbers((x,), d)[0]
         assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_reference_bits(self):
+        # Pins every bit of the bracket on a small grid, one line
+        # "s x value.hex()" (or the overflow text) per point; the mpmath
+        # checks above hold values only to their bounds.
+        expected = (GOLDEN / "qnumber_bits.txt").read_text().splitlines()
+        assert qnumber_bit_lines() == expected
 
     def test_large_argument_below_overflow_is_finite(self):
         value = qnumber(300.0, DeformationParameter(2.0))

@@ -25,6 +25,8 @@ import math
 import os
 import re
 import sys
+from itertools import chain, compress, repeat
+from operator import is_not, ne, sub
 from types import NoneType
 from typing import Any, Callable, Iterable, Sequence
 
@@ -118,15 +120,19 @@ def _json_value(value: Any) -> str:
 # dispatch.  `_slot` picks, from the set of value types in a column, one
 # `%` slot and the values that fill it: plain floats, ints and strings
 # that need no quoting fill it as they are, any other column is filled
-# with its cell texts under "%s".  CSV and JSON turn each run of
-# _CHUNK_ROWS rows into text with one row template of these slots; the
-# table maps each slot over its fill, and renders twice-integer columns
-# as fractions (`_fractions`).  `_cell` (with `_json_value` and `_half`)
-# stays the definition of a cell's text; every column path below must
-# produce exactly the string it gives for each value, and any column they
-# do not cover (bool, int mixed with None, subclasses) goes through it
-# cell by cell.  Chunks keep the transposed columns of a long table from
-# sitting in memory at once.
+# with its cell texts under "%s".  A float/None column is cut into runs
+# of equal adjacent cells: sorted tables repeat most of their energies
+# (at large j the |m| splitting falls below a double's spacing) and a
+# scan repeats s and q on every |m| row, so where runs average two cells
+# or more each run is formatted once and its text repeated.  CSV and
+# JSON turn each chunk of _CHUNK_ROWS rows into text with one row
+# template of these slots; the table maps each slot over its whole
+# column, and renders twice-integer columns as fractions (`_fractions`).
+# `_cell` (with `_json_value` and `_half`) stays the definition of a
+# cell's text; every column path below must produce exactly the string
+# it gives for each value, and any column they do not cover (bool, int
+# mixed with None, subclasses) goes through it cell by cell.  Chunks keep
+# the transposed columns of a long table from sitting in memory at once.
 _CHUNK_ROWS = 2048
 
 # Characters that can make csv.writer quote a field, and those the JSON
@@ -160,32 +166,26 @@ def _fractions(values: tuple) -> Iterable[str]:
     return ["" if v is None else _half(v) for v in values]
 
 
-def _floats_once(values: tuple, fmt: str) -> Iterable[str]:
-    """Texts of a float/None column that formats each distinct object once.
-
-    Keyed by identity, not value, so -0.0 next to 0.0 and each nan keep
-    their own text.
-    """
-    ids = list(map(id, values))
-    none = "null" if fmt == "json" else ""
-    text = {i: none if v is None else f"{v:.15g}" for i, v in dict(zip(ids, values)).items()}
-    return map(text.__getitem__, ids)
-
-
 def _slot(values: tuple, fmt: str) -> tuple[str, Iterable]:
     """One column's `%` slot in a row of ``fmt``, and what fills it."""
     types = set(map(type, values))
     if types == {int}:
         return "%d", values
     if types <= {float, NoneType}:
-        head = values[:64]
-        if 2 * len(set(map(id, head))) <= len(head):
-            # The rows share float objects (a scan's s and q repeat on
-            # every |m| row), so formatting each object once is cheaper.
-            return "%s", _floats_once(values, fmt)
+        differ = list(map(ne, values[1:], values))
+        none = "null" if fmt == "json" else ""
+        if 2 * (differ.count(True) + 1) <= len(values):
+            # Equal floats print alike, but for 0.0 and -0.0: a column that
+            # holds a zero takes its runs by identity.  By value, each nan
+            # is a run of its own.
+            if 0.0 in values:
+                differ = list(map(is_not, values[1:], values))
+            starts = [0, *compress(range(1, len(values)), differ)]
+            texts = [none if v is None else f"{v:.15g}" for v in map(values.__getitem__, starts)]
+            lengths = map(sub, [*starts[1:], len(values)], starts)
+            return "%s", chain.from_iterable(map(repeat, texts, lengths))
         if types == {float}:
             return "%.15g", values
-        none = "null" if fmt == "json" else ""
         return "%s", [none if v is None else f"{v:.15g}" for v in values]
     if types == {str}:
         if fmt == "table" or not any(map(_SPECIAL[fmt], set(values))):

@@ -203,8 +203,10 @@ def _qnumbers(xs: Sequence[float], d: DeformationParameter) -> list[float]:
     branches: the even series in s through s^4 (docs/derivations.md,
     section 1) where |s| is below the fixed threshold 1e-4 and |s| x
     below 50 times it, so that the truncation error stays below double
-    rounding; the far form e^(|s|(x-1)) (1 - e^(-2|s|x)) where sinh(s)
-    itself overflows; the ratio sinh(s x)/sinh(s) otherwise.
+    rounding, and the series value is finite (at |s| below about 1e-156
+    an x near the top of the range squares to inf); the far form
+    e^(|s|(x-1)) (1 - e^(-2|s|x)) where sinh(s) itself overflows; the
+    ratio sinh(s x)/sinh(s) otherwise.
 
     Raises :class:`QNumberOverflowError` at the first x whose sinh(s x)
     or whose bracket has no finite double representation.
@@ -224,7 +226,11 @@ def _qnumbers(xs: Sequence[float], d: DeformationParameter) -> list[float]:
     for x in xs:
         if a * x < limit:
             value = _series_eval(x, s)
-        elif denominator is None:
+            # Not where x squares to inf against an s^2 that underflows.
+            if math.isfinite(value):
+                values.append(value)
+                continue
+        if denominator is None:
             try:
                 value = math.exp(a * (x - 1.0)) * -math.expm1(-2.0 * a * x)
             except OverflowError:

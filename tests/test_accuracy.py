@@ -101,6 +101,16 @@ def test_bracket_within_target(q):
     assert worst <= BRACKET_ULPS
 
 
+@pytest.mark.parametrize("x, s", [(1e200, 1e-300), (1e157, 1e-160), (1e157, -1e-160),
+                                  (1e300, 1e-320)])
+def test_bracket_of_a_huge_x_at_a_tiny_s(x, s):
+    # Below the series limit, but x^2 is inf against an s^2 that
+    # underflows to 0: the series gives nan, and the ratio is taken.
+    exact = mp_bracket(2 * x, mpmath.mpf(s))
+    value = qnumber(x, DeformationParameter.from_s(s))
+    assert abs(value - exact) / math.ulp(float(exact)) <= BRACKET_ULPS
+
+
 _EDGE_MISSES = {
     (1e100, 5): pytest.mark.xfail(strict=True, raises=QNumberOverflowError,
                                   reason="ROADMAP item 4: sinh(s*x) overflows at x = 3.5, "

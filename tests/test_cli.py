@@ -22,6 +22,7 @@ from qhydrogen.cli import (
     _half,
     _linspace,
     _render,
+    _slot,
     main,
 )
 from qhydrogen.irreps import build_irrep, casimir_identity_report, verify_commutators
@@ -861,17 +862,24 @@ def _column_specs(draw):
     return name, draw(st.lists(values, min_size=1, max_size=6))
 
 
+def _fresh(value):
+    """A float equal to ``value`` bit for bit, but a distinct object."""
+    return float.fromhex(value.hex()) if type(value) is float else value
+
+
 class TestColumnFormatters:
     @pytest.mark.parametrize("n_rows", [0, 1, 7, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
     @settings(max_examples=20, deadline=None)
-    @given(specs=st.lists(_column_specs(), min_size=1, max_size=6))
+    @given(specs=st.lists(_column_specs(), min_size=1, max_size=6),
+           run=st.sampled_from([1, 2, 3, 7, 1000]), fresh=st.booleans())
     @example(
         specs=[("energy", [0.0, -0.0, 1.5]), ("q", [None, -0.0, 0.0]),
                ("twice_abs_m", [1, True, None, 0, False]), ("twice_j", [3, None]),
                ("relation", ["a,b", 'x"y\\', ""]), ("passed", [True, False])],
+        run=1, fresh=False,
     )
-    # Every row repeats the same few objects, so float columns take the
-    # per-object path: one -0.0 and one nan object next to a distinct 0.0.
+    # Every row repeats the same few objects: one -0.0 and one nan object
+    # next to a distinct 0.0.
     @example(
         specs=[("s", [float("-0.0"), float("nan"), float("0.0")]),
                ("q", [float("nan"), None, float("-0.0"), float("0.0")]),
@@ -879,17 +887,59 @@ class TestColumnFormatters:
                              "50%", "%d%%s"]),
                ("n", [2 ** 64, -(2 ** 70), 10 ** 30, 0]),
                ("x%d", [1.5, -2.5e-310])],
+        run=1, fresh=False,
     )
-    def test_render_matches_per_cell_emitters(self, n_rows, specs):
+    # Runs of value-equal floats, each cell its own object; 0.0 and -0.0
+    # inside one run of equal values; runs of nan and of None.
+    @example(
+        specs=[("energy", [-0.0625, -0.0625, -0.0625, 2.5e-310, 1e16]),
+               ("s", [0.0, -0.0, 0.0, 0.0, -1.5]),
+               ("q", [None, None, 0.5, 0.5, float("nan"), float("nan")]),
+               ("deviation_ry", [-0.0, 0.0, float("inf"), float("-inf")])],
+        run=1, fresh=True,
+    )
+    # Long runs that straddle a chunk edge, as one object and as copies.
+    @example(specs=[("energy", [-0.125, 0.0, -0.0]), ("q", [None, float("nan"), 3.0])],
+             run=1000, fresh=False)
+    @example(specs=[("energy", [-0.125, 0.0, -0.0]), ("q", [None, float("nan"), 3.0])],
+             run=3, fresh=True)
+    def test_render_matches_per_cell_emitters(self, n_rows, specs, run, fresh):
+        # Row i takes pool value i // run + k in column k, so ``run`` rows
+        # in a row share one value and neighbours in a pool are neighbours
+        # in the column; ``fresh`` makes each float cell its own object.
         columns = [name for name, _ in specs]
-        rows = [tuple(pool[(i * (k + 1)) % len(pool)] for k, (_, pool) in enumerate(specs))
+        rows = [tuple(pool[(i // run + k) % len(pool)] for k, (_, pool) in enumerate(specs))
                 for i in range(n_rows)]
+        if fresh:
+            rows = [tuple(map(_fresh, row)) for row in rows]
         config = {"command": "x", "q": -0.0, "s": None, "mode": 'a"b', "flag": True}
         for fmt, oracle in _ORACLE.items():
             # Compared line by line: a failure then names the first differing
             # line instead of diffing two documents of thousands of rows.
             got = _render(fmt, config, columns, rows).splitlines(keepends=True)
             assert got == oracle(config, columns, rows).splitlines(keepends=True)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_each_run_is_formatted_once(self, fmt, zero):
+        # 500 runs of 1-7 value-equal but distinct floats, so a text per
+        # cell would give one string object per cell, not per run.  With a
+        # zero in the column the runs are taken by identity, so there
+        # each run is one object.
+        values, runs = [], 0
+        for k in range(500):
+            value = -1.0 / (k + 3)
+            copy = (lambda: value) if zero else (lambda: _fresh(value))
+            values.extend(copy() for _ in range(k % 7 + 1))
+            runs += 1
+        if zero:
+            values.append(0.0)
+            runs += 1
+        slot, fill = _slot(tuple(values), fmt)
+        texts = list(fill)
+        assert slot == "%s"
+        assert texts == [_oracle_cell(v) for v in values]
+        assert len(set(map(id, texts))) == runs
 
     def test_output_file_matches_stdout_past_one_chunk(self, capsys, tmp_path):
         args = ("scan", "--j", "40", "--s-min", "-2", "--s-max", "30", "--s-count", "100",

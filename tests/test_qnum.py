@@ -166,6 +166,13 @@ class TestQNumberValues:
         for x in X_GRID + [1e9, -3.7e5]:
             assert qnumber(x, d) == float(x)
 
+    def test_reference_bits(self):
+        # Pins every bit of the bracket on a small grid, one line
+        # "s x value.hex()" (or the overflow text) per point; the mpmath
+        # oracle checks hold values only to their bounds.
+        expected = (GOLDEN / "qnumber_bits.txt").read_text().splitlines()
+        assert qnumber_bit_lines() == expected
+
 
 class TestQNumberProperties:
     @pytest.mark.parametrize("q", Q_GRID)
@@ -256,13 +263,6 @@ class TestQNumberErrors:
             _set(d, "s", s)
             got = _qnumbers((x,), d)[0]
         assert abs(got - want) <= 1e-15 * abs(want)
-
-    def test_reference_bits(self):
-        # Pins every bit of the bracket on a small grid, one line
-        # "s x value.hex()" (or the overflow text) per point; the mpmath
-        # checks above hold values only to their bounds.
-        expected = (GOLDEN / "qnumber_bits.txt").read_text().splitlines()
-        assert qnumber_bit_lines() == expected
 
     def test_large_argument_below_overflow_is_finite(self):
         value = qnumber(300.0, DeformationParameter(2.0))

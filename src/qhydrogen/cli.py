@@ -255,8 +255,10 @@ def _emit_table(columns: Sequence[str], rows: Sequence[tuple]) -> str:
     widths = [max(len(n), max(map(len, col), default=0)) for n, col in zip(names, rendered)]
     out = ["  ".join(n.ljust(w) for n, w in zip(names, widths)).rstrip()]
     out.append("  ".join("-" * w for w in widths))
-    row_line = "  ".join(f"%-{w}s" for w in widths)
-    out.extend((row_line % cells).rstrip() for cells in zip(*rendered))
+    # Every column but the last is padded to its width; rstrip then takes
+    # off what padding would have ended the row.
+    padded = [map(str.ljust, col, repeat(w)) for col, w in zip(rendered[:-1], widths)]
+    out.extend(map(str.rstrip, map("  ".join, zip(*padded, rendered[-1]))))
     return "\n".join(out) + "\n"
 
 
@@ -285,6 +287,42 @@ def _write(document: str, output: str | None) -> None:
         raise UsageError(f"Could not write file {output!r}: {exc.strerror}") from None
 
 
+# The most rows (or, for verify and dump-irrep, matrix entries) one command
+# may build.  Sizes follow from the options alone, so a command above it is
+# refused before it builds anything: at about 0.45 KiB per levels row at
+# peak, 2,000,000 rows take near 1 GiB.  The largest sizes in use lie below
+# it: 266,256 levels rows (--j-max 1030), 1,008,910 ladder entries (verify
+# --j-max 1419) and 81,000-row scans.
+_MAX_SIZE = 2_000_000
+
+
+def _level_rows(twice_j_max: int, mode: str) -> int:
+    """Rows of the level table up to 2j_max: one per (j, |m|), or one per j undeformed."""
+    if mode == "undeformed":
+        return twice_j_max + 1
+    # Spin 2j has floor(2j/2) + 1 values of |m|.
+    return twice_j_max + 1 + (twice_j_max // 2) * ((twice_j_max + 1) // 2)
+
+
+def _state_count(twice_j: int, mode: str) -> int:
+    """States at spin j: 4j+1 (integer j) or 4j+2 deformed, (2j+1)^2 undeformed."""
+    if mode == "undeformed":
+        return (twice_j + 1) ** 2
+    return 2 * twice_j + 1 + twice_j % 2
+
+
+def _ladder_entries(twice_j_max: int) -> int:
+    """Basis states of every spin up to 2j_max, sum of 2j+1: what verify builds."""
+    return (twice_j_max + 1) * (twice_j_max + 2) // 2
+
+
+def _check_size(size: int, unit: str, what: str) -> None:
+    """Refuse a command whose size, from its options alone, is above _MAX_SIZE."""
+    if size > _MAX_SIZE:
+        raise UsageError(f"Invalid value for {what} would build {size} {unit}; "
+                         f"at most {_MAX_SIZE}.")
+
+
 def _resolve_deformation(q: float | None, s: float | None) -> DeformationParameter:
     if q is not None and s is not None:
         raise UsageError("--q and --s are mutually exclusive")
@@ -298,6 +336,7 @@ def _resolve_deformation(q: float | None, s: float | None) -> DeformationParamet
 
 def levels(q, s, twice_j_max, mode, units, fmt, output) -> None:
     """Bound-level table for all spins up to --j-max."""
+    _check_size(_level_rows(twice_j_max, mode), "rows", f"'--j-max': {twice_j_max}")
     d = _resolve_deformation(q, s)
     unit, factor = _UNIT_FLAGS[units]
     table = level_table(SpinLabel(twice_j_max), d, mode)
@@ -311,6 +350,7 @@ def levels(q, s, twice_j_max, mode, units, fmt, output) -> None:
 
 def states(twice_j, mode, fmt, output) -> None:
     """Enumerate the coupled (m, p) states at one spin."""
+    _check_size(_state_count(twice_j, mode), "states", f"'--j': {twice_j}")
     state_list = enumerate_states(SpinLabel(twice_j), mode)
     columns = ["twice_j", "twice_m", "twice_p"]
     rows = [(st.j.twice_j, st.twice_m, st.twice_p) for st in state_list]
@@ -320,6 +360,7 @@ def states(twice_j, mode, fmt, output) -> None:
 
 def lines(q, s, twice_j_max, lower_twice_j, lower_twice_abs_m, units, fmt, output) -> None:
     """Series of lines from all levels above a lower level down to it."""
+    _check_size(_level_rows(twice_j_max, "deformed"), "level rows", f"'--j-max': {twice_j_max}")
     d = _resolve_deformation(q, s)
     unit, factor = _UNIT_FLAGS[units]
     try:
@@ -357,6 +398,8 @@ def scan(twice_j, s_values_text, s_min, s_max, s_count, fmt, output) -> None:
         for value in s_values:
             if not math.isfinite(value):
                 raise UsageError(f"--s-values must be finite, got {value!r}")
+        s_count = len(s_values)
+        count = f"'--j' and '--s-values': {twice_j} and {s_count} values"
     else:
         for name, value in (("--s-min", s_min), ("--s-max", s_max)):
             if not math.isfinite(value):
@@ -365,6 +408,9 @@ def scan(twice_j, s_values_text, s_min, s_max, s_count, fmt, output) -> None:
             # The grid would hold inf - inf and 0 * inf points (nan).
             raise UsageError(f"--s-min {s_min!r} and --s-max {s_max!r} are too far "
                              f"apart: their difference overflows")
+        count = f"'--j' and '--s-count': {twice_j} and {s_count}"
+    _check_size(s_count * (twice_j // 2 + 1), "rows", count)
+    if s_values_text is None:
         s_values = _linspace(s_min, s_max, s_count)
     # The ScanRow fields are the columns, so rows render as they come.
     rows = splitting_scan(SpinLabel(twice_j), s_values)
@@ -382,6 +428,7 @@ def verify(q, s, twice_j_max, tolerance, fmt, output) -> None:
     if not (tolerance > 0.0 and math.isfinite(tolerance)):
         # An infinite tolerance would pass every relation.
         raise UsageError(f"--tolerance must be finite and positive, got {tolerance!r}")
+    _check_size(_ladder_entries(twice_j_max), "ladder entries", f"'--j-max': {twice_j_max}")
     d = _resolve_deformation(q, s)
     columns = ["twice_j", "q", "relation", "max_deviation", "tolerance", "passed"]
     rows = []
@@ -404,6 +451,7 @@ def verify(q, s, twice_j_max, tolerance, fmt, output) -> None:
 
 def dump_irrep(q, s, twice_j, operator, output) -> None:
     """Dump one generator matrix as JSON ([re, im] pairs, row-major)."""
+    _check_size((twice_j + 1) ** 2, "matrix entries", f"'--j': {twice_j}")
     d = _resolve_deformation(q, s)
     r = build_irrep(SpinLabel(twice_j), d)
     # The nonzeros by (row, column): Iz's weights, or the ladder above

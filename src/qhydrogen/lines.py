@@ -19,7 +19,7 @@ from .spectrum import (
     RYDBERG_PER_CM,
     _check_weight,
     _deformed_levels,
-    _spin_denominators,
+    _scan_denominators,
     energy,
     energy_undeformed,
 )
@@ -188,10 +188,14 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
     in Rydberg throughout, matching the scan CSV schema.  Evaluation
     failures flag the row instead of aborting the scan.
 
-    Each s value evaluates every bracket the spin reads once, and every
-    clean row equals ``energy(j, twice_abs_m, q)`` bit for bit.  Every
-    row of an s whose q = e^s leaves the floating range (q is then None)
-    or one of whose brackets raises
+    What does not depend on s is formed once per scan: the bracket
+    arguments, the 8 m^2 terms and the place of [m-1] at the lowest
+    |m| (``spectrum._scan_denominators``).  Each s value then evaluates
+    every bracket the spin reads once, and M and D from them by the
+    operations of :func:`~qhydrogen.spectrum.denominator` in its order,
+    so every clean row equals ``energy(j, twice_abs_m, q)`` bit for bit.
+    Every row of an s whose q = e^s leaves the floating range (q is then
+    None) or one of whose brackets raises
     :class:`~qhydrogen.qnum.QNumberOverflowError` is flagged "overflow",
     and the error is not kept; a row whose denominator is not positive
     is flagged "nonpositive_denominator".
@@ -199,6 +203,7 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
     tj = j.twice_j
     twice_abs_ms = range(tj % 2, tj + 1, 2)
     e_flat = energy_undeformed(j)
+    denominators_at = _scan_denominators(tj)
     rows: list[ScanRow] = []
     append = rows.append
     for s in s_values:
@@ -209,7 +214,7 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
         try:
             d = DeformationParameter.from_s(s)
             q = d.q
-            denominators = _spin_denominators(tj, d)
+            denominators = denominators_at(d)
         except (ValueError, QNumberOverflowError):
             # q = e^s itself (q stays None) or a bracket leaves the floating range
             for tam in twice_abs_ms:

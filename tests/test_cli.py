@@ -18,16 +18,20 @@ from hypothesis import example, given, settings, strategies as st
 from qhydrogen.cli import (
     _CHUNK_ROWS,
     _FRACTION_COLUMNS,
+    _MAX_SIZE,
     _at_least,
     _half,
+    _ladder_entries,
+    _level_rows,
     _linspace,
     _render,
     _slot,
+    _state_count,
     main,
 )
-from qhydrogen.irreps import build_irrep, casimir_identity_report, verify_commutators
+from qhydrogen.irreps import build_irrep, build_irreps, casimir_identity_report, verify_commutators
 from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel
-from qhydrogen.spectrum import energy, level_table
+from qhydrogen.spectrum import energy, enumerate_states, level_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -721,6 +725,94 @@ class TestParser:
         assert set(_FLAGS[command]) <= named
 
 
+def _first_above_ceiling(size):
+    """The smallest n >= 0 with size(n) > _MAX_SIZE, for a size rising in n."""
+    low, high = 0, 1
+    while size(high) <= _MAX_SIZE:
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if size(mid) <= _MAX_SIZE else (low, mid)
+    return high
+
+
+class TestSizeCeiling:
+    # Sizes are computed from the options, so every refusal here is cheap;
+    # no test runs an accepted size near the ceiling.
+
+    @pytest.mark.parametrize("mode", ["deformed", "undeformed"])
+    def test_sizes_count_what_is_built(self, mode):
+        d = DeformationParameter(1.3)
+        for tj in range(13):
+            assert _level_rows(tj, mode) == len(level_table(SpinLabel(tj), d, mode))
+            assert _state_count(tj, mode) == len(enumerate_states(SpinLabel(tj), mode))
+            assert _ladder_entries(tj) == sum(r.dim for r in build_irreps(SpinLabel(tj), d))
+
+    def test_sizes_in_use_are_below_the_ceiling(self):
+        assert _level_rows(1030, "deformed") == 266_256
+        assert _ladder_entries(1419) == 1_008_910
+        assert 1000 * (160 // 2 + 1) == 81_000
+        assert max(266_256, 1_008_910, 81_000) < _MAX_SIZE
+
+    @pytest.mark.parametrize(
+        "argv, size, unit",
+        [
+            (["levels", "--j-max", "{}"], lambda n: _level_rows(n, "deformed"), "rows"),
+            (["levels", "--mode", "undeformed", "--j-max", "{}"],
+             lambda n: _level_rows(n, "undeformed"), "rows"),
+            (["lines", "--j-max", "{}"], lambda n: _level_rows(n, "deformed"), "level rows"),
+            (["states", "--j", "{}"], lambda n: _state_count(n, "deformed"), "states"),
+            (["states", "--mode", "undeformed", "--j", "{}"],
+             lambda n: _state_count(n, "undeformed"), "states"),
+            (["verify", "--j-max", "{}"], _ladder_entries, "ladder entries"),
+            (["dump-irrep", "--j", "{}", "--operator", "iz"], lambda n: (n + 1) ** 2,
+             "matrix entries"),
+            (["scan", "--j", "7", "--s-count", "{}"], lambda n: 4 * n, "rows"),
+            (["scan", "--s-count", "3", "--j", "{}"], lambda n: 3 * (n // 2 + 1), "rows"),
+        ],
+        ids=["levels", "levels-undeformed", "lines", "states", "states-undeformed", "verify",
+             "dump-irrep", "scan-s-count", "scan-j"],
+    )
+    def test_refused_just_and_far_above(self, capsys, argv, size, unit):
+        first = _first_above_ceiling(size)
+        assert size(first - 1) <= _MAX_SIZE < size(first)
+        for value in (first, sys.maxsize):
+            code, out, err = run_cli(capsys, *(a.format(value) for a in argv))
+            assert (code, out) == (1, "")
+            assert err.startswith("Error: Invalid value for ")
+            assert err.endswith(f" would build {size(value)} {unit}; at most {_MAX_SIZE}.\n")
+
+    def test_refusal_messages(self, capsys):
+        code, _, err = run_cli(capsys, "scan", "--j", "1", "--s-count", "1000000000000")
+        assert code == 1
+        assert err == ("Error: Invalid value for '--j' and '--s-count': 1 and 1000000000000 "
+                       f"would build 1000000000000 rows; at most {_MAX_SIZE}.\n")
+        code, _, err = run_cli(capsys, "levels", "--j-max", "3000")
+        assert code == 1
+        assert err == ("Error: Invalid value for '--j-max': 3000 would build 2253001 rows; "
+                       f"at most {_MAX_SIZE}.\n")
+
+    def test_s_values_count_toward_the_size(self, capsys):
+        # 2j = 4 000 000 has 2 000 001 values of |m|: one s value is too many.
+        code, out, err = run_cli(capsys, "scan", "--j", "4000000", "--s-values", "0.1")
+        assert (code, out) == (1, "")
+        assert err == ("Error: Invalid value for '--j' and '--s-values': 4000000 and 1 values "
+                       f"would build 2000001 rows; at most {_MAX_SIZE}.\n")
+
+    def test_refused_before_anything_is_built(self, capsys):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code = main(["scan", "--j", "1", "--s-count", str(sys.maxsize)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 1
+        assert peak < 1 << 20
+
+
 class TestLinesCommand:
     def test_csv_schema(self, capsys):
         _, out, _ = run_cli(capsys, "lines", "--q", "1", "--j-max", "2")
@@ -903,6 +995,14 @@ class TestColumnFormatters:
              run=1000, fresh=False)
     @example(specs=[("energy", [-0.125, 0.0, -0.0]), ("q", [None, float("nan"), 3.0])],
              run=3, fresh=True)
+    # A last column of only "" and None: the table strips the separators
+    # and padding that would end each row.
+    @example(specs=[("energy", [-0.25, 1e16]), ("flag", ["", None])], run=1, fresh=False)
+    # Last-column strings that end in spaces lose them to the strip.
+    @example(specs=[("twice_j", [1, 12]), ("relation", ["a  ", " ", "b c "])], run=2,
+             fresh=False)
+    # A table of one column.
+    @example(specs=[("energy", [None, -0.0625, 2.5e-310])], run=1, fresh=False)
     def test_render_matches_per_cell_emitters(self, n_rows, specs, run, fresh):
         # Row i takes pool value i // run + k in column k, so ``run`` rows
         # in a row share one value and neighbours in a pool are neighbours

@@ -192,6 +192,18 @@ class TestSeriesTable:
         for line in table:
             assert line == transition(line.upper, line.lower, d)
 
+    @pytest.mark.parametrize("q", [0.7, 1.3, 1.0 + 1e-9])
+    def test_lines_equal_scalar_energy_differences(self, q):
+        # At 2j_max 120 one shared M or S term serves up to 61 spins.
+        d = DeformationParameter(q)
+        lower = (SpinLabel(1), 1)
+        table = series_table(*lower, SpinLabel(120), d)
+        assert len(table) > 300
+        e_lower = energy(*lower, d)
+        for line in table:
+            assert line.lower == lower
+            assert line.delta_energy == energy(*line.upper, d) - e_lower
+
     def test_wavelength_beyond_a_double_raises(self):
         # At q = 2 the levels near 2j = 1020 differ by subnormal energies,
         # whose wavelength 1e7 / wavenumber is beyond a double.
@@ -315,6 +327,18 @@ class TestSplittingScan:
             ] == expected
             flags.update(r.flag for r in rows)
         assert flags == {"", "overflow", "nonpositive_denominator"}
+
+    def test_rows_equal_scalar_energy_up_to_2j_160(self):
+        # The scan forms its bracket arguments and S terms once and then M
+        # and D per point; every clean row must still be energy()'s bits.
+        s_values = [sign * s for s in (1e-6, 3e-4, 0.01, 0.07, 0.2, 0.45, 0.883, 1.3, 2.2, 3.7)
+                    for sign in (1.0, -1.0)]
+        for tj in range(0, 161, 8):
+            j = SpinLabel(tj)
+            rows = splitting_scan(j, s_values)
+            assert all(r.flag == "" for r in rows)
+            for r in rows:
+                assert r.energy_ry == energy(j, r.twice_abs_m, DeformationParameter.from_s(r.s))
 
     @pytest.mark.parametrize("tj", [0, 1, 2, 7, 10])
     def test_one_bracket_parity_per_point(self, monkeypatch, tj):

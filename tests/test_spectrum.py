@@ -268,13 +268,18 @@ class TestLevelTable:
         table = level_table(SpinLabel(3), DeformationParameter(1.2), "deformed")
         assert all(lv.principal_n == lv.j.twice_j + 1 for lv in table)
 
-    @pytest.mark.parametrize("q", [1.0, 1.0 + 1e-9, 0.6, 1.7, 10.0])
-    def test_rows_equal_scalar_energy(self, q):
+    @pytest.mark.parametrize(
+        "q, tj_max",
+        [*(pytest.param(q, 40, id=str(q)) for q in [1.0, 1.0 + 1e-9, 0.6, 1.7, 10.0]),
+         # Far enough that one M or S term serves up to 81 spins.
+         pytest.param(1.3, 160, id="1.3-2j=160")],
+    )
+    def test_rows_equal_scalar_energy(self, q, tj_max):
         d = DeformationParameter(q)
-        table = level_table(SpinLabel(40), d, "deformed")
+        table = level_table(SpinLabel(tj_max), d, "deformed")
         keys = {(lv.j.twice_j, lv.twice_abs_m) for lv in table}
         assert len(keys) == len(table)
-        assert keys == {(tj, tam) for tj in range(41) for tam in range(tj % 2, tj + 1, 2)}
+        assert keys == {(tj, tam) for tj in range(tj_max + 1) for tam in range(tj % 2, tj + 1, 2)}
         for lv in table:
             assert lv.energy_ry == energy(lv.j, lv.twice_abs_m, d)
 

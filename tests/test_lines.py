@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from qhydrogen.spectrum import (
     energy_undeformed,
     level_table,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestRowTypes:
@@ -364,3 +367,66 @@ class TestSplittingScan:
         assert len(seen) == (tj + 2 - tj % 2) // 2 + 1
         assert sorted(seen) == [k / 2.0 for k in range(tj % 2, tj + 3, 2)]
         assert all(r.flag == "" for r in rows)
+
+
+def _hex(value):
+    return "None" if value is None else value.hex()
+
+
+# The deformations of the level rows: q = 1 + 1e-9 and s = 5e-5 take the
+# bracket's series branch, s = -720 its far form (where [k/2] overflows).
+BIT_LEVEL_DEFORMATIONS = [
+    *((f"q={q!r}", DeformationParameter(q)) for q in [0.7, 1.0 + 1e-9, 1.3, 2.0, 10.0]),
+    *((f"s={s!r}", DeformationParameter.from_s(s)) for s in [5e-5, -720.0]),
+]
+BIT_SCAN_S = [0.0, -0.0, 1e-9, -1e-9, 5e-5, math.log(2.0), -1.1, 473.7, 709.5, -720.0]
+# The failing tables of TestLevelTable.test_failure_matches_scalar_row_loop.
+BIT_FAILING_TABLES = [(2.0, 2100), (10.0, 700), (1e300, 8), (1e150, 8), (1e100, 8), (1e-300, 8)]
+
+
+def energy_bit_lines():
+    """One line per level row, scan row and line of a small grid, floats as hex.
+
+    A table that fails gives one line with its error type and text.
+    """
+    out = []
+    for label, d in BIT_LEVEL_DEFORMATIONS:
+        try:
+            out.extend(f"levels {label} {lv.j.twice_j} {lv.twice_abs_m} {lv.energy_ry.hex()}"
+                       for lv in level_table(SpinLabel(24), d, "deformed"))
+        except (QNumberOverflowError, NonPositiveDenominatorError) as exc:
+            out.append(f"levels {label} {type(exc).__name__}: {exc}")
+    for tj in [0, 1, 2, 7, 40]:
+        out.extend(f"scan {tj} {r.s!r} {r.twice_abs_m} {_hex(r.q)} {_hex(r.energy_ry)} "
+                   f"{_hex(r.deviation_ry)} {r.flag or '-'}"
+                   for r in splitting_scan(SpinLabel(tj), BIT_SCAN_S))
+    d = DeformationParameter(1.3)
+    for lower in [(0, 0), (1, 1)]:
+        out.extend(f"lines {lower[0]} {lower[1]} {line.upper[0].twice_j} {line.upper[1]} "
+                   f"{line.delta_energy.hex()} {line.wavenumber_per_cm.hex()} "
+                   f"{line.wavelength_nm.hex()}"
+                   for line in series_table(SpinLabel(lower[0]), lower[1], SpinLabel(12), d))
+    for q, tj_max in BIT_FAILING_TABLES:
+        try:
+            level_table(SpinLabel(tj_max), DeformationParameter(q), "deformed")
+        except (QNumberOverflowError, NonPositiveDenominatorError) as exc:
+            out.append(f"failure q={q!r} 2j_max={tj_max} {type(exc).__name__}: {exc}")
+    d = DeformationParameter(2.0)
+    for label, call in [
+        ("series_table", lambda: series_table(SpinLabel(1020), 1020, SpinLabel(1021), d)),
+        ("transition", lambda: transition((SpinLabel(1019), 1017), (SpinLabel(1020), 1020), d)),
+    ]:
+        try:
+            call()
+        except QNumberOverflowError as exc:
+            out.append(f"wavelength {label} {type(exc).__name__}: {exc}")
+    return out
+
+
+class TestReferenceBits:
+    def test_energy_reference_bits(self):
+        # Pins every bit of level rows, scan rows and lines, and the text
+        # of each failure, against a stored reference; the scalar-energy
+        # equality tests cannot see a change that every path shares.
+        expected = (GOLDEN / "energy_bits.txt").read_text().splitlines()
+        assert energy_bit_lines() == expected

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel
 from .spectrum import (
@@ -38,7 +38,13 @@ __all__ = [
 
 
 class DegenerateTransitionError(ValueError):
-    """Both endpoints have exactly equal energy; there is no line."""
+    """The two endpoints' energies are equal as doubles, so there is no line to report.
+
+    That does not make the levels degenerate: near q = 1 two sublevels
+    of one spin whose exact energies differ by O(s^2) E can round to
+    one double (at q = 1 +- 1e-9, 444 of the 820 pairs at 2j = 80).
+    ROADMAP item 10 replaces this error with the exact line.
+    """
 
     def __init__(self, first: LevelKey, second: LevelKey) -> None:
         self.first = first
@@ -98,24 +104,28 @@ def _check_level(key: LevelKey) -> None:
         raise ValueError(f"twice_abs_m must be >= 0, got {twice_abs_m}")
 
 
-def _wavelength_overflow(
-    upper: LevelKey, lower: LevelKey, delta_ry: float
-) -> QNumberOverflowError:
-    # Energies lie in [-1, 0) as D > 2, so only a subnormal delta_ry needs this.
-    return QNumberOverflowError(
-        f"line between levels (twice_j={upper[0].twice_j}, twice_abs_m={upper[1]}) and "
-        f"(twice_j={lower[0].twice_j}, twice_abs_m={lower[1]}) has a wavelength "
-        f"beyond double precision at delta_energy={delta_ry!r}"
-    )
+def _lines(
+    uppers: Sequence[LevelKey], energies: Sequence[float], lower: LevelKey, e_lower: float
+) -> list[TransitionLine]:
+    """The line from each upper level, at its energy, down to lower, in order.
 
-
-def _line(upper: LevelKey, e_upper: float, lower: LevelKey, e_lower: float) -> TransitionLine:
-    delta_ry = e_upper - e_lower
-    wavenumber = delta_ry * RYDBERG_PER_CM
-    wavelength = 1e7 / wavenumber
-    if math.isinf(wavelength):
-        raise _wavelength_overflow(upper, lower, delta_ry)
-    return _transition_line((upper, lower, delta_ry, wavenumber, wavelength))
+    Raises :class:`~qhydrogen.qnum.QNumberOverflowError` at the first
+    line whose wavelength is beyond a double.
+    """
+    lines: list[TransitionLine] = []
+    for upper, e in zip(uppers, energies):
+        delta_ry = e - e_lower
+        wavenumber = delta_ry * RYDBERG_PER_CM
+        wavelength = 1e7 / wavenumber
+        if math.isinf(wavelength):
+            # Energies lie in [-1, 0) as D > 2, so only a subnormal delta_ry gets here.
+            raise QNumberOverflowError(
+                f"line between levels (twice_j={upper[0].twice_j}, twice_abs_m={upper[1]}) "
+                f"and (twice_j={lower[0].twice_j}, twice_abs_m={lower[1]}) has a "
+                f"wavelength beyond double precision at delta_energy={delta_ry!r}"
+            )
+        lines.append(_transition_line((upper, lower, delta_ry, wavenumber, wavelength)))
+    return lines
 
 
 def transition(upper: LevelKey, lower: LevelKey, d: DeformationParameter) -> TransitionLine:
@@ -137,7 +147,7 @@ def transition(upper: LevelKey, lower: LevelKey, d: DeformationParameter) -> Tra
     if e_first < e_second:
         upper, lower = lower, upper
         e_first, e_second = e_second, e_first
-    return _line(upper, e_first, lower, e_second)
+    return _lines([upper], [e_first], lower, e_second)[0]
 
 
 def series_table(
@@ -164,21 +174,16 @@ def series_table(
     lower = (lower_j, lower_twice_abs_m)
     _check_level(lower)
     e_lower = energy(lower_j, lower_twice_abs_m, d)
-    lines: list[TransitionLine] = []
+    uppers: list[LevelKey] = []
+    energies: list[float] = []
     e_last = e_lower
     # The rows of the deformed level_table as plain tuples; only their fields are read.
     for j, twice_abs_m, e, _, _ in _deformed_levels(j_max, d, tuple):
         if e > e_last:
-            # _line, inlined: this loop runs once per level of the table.
-            delta_ry = e - e_lower
-            wavenumber = delta_ry * RYDBERG_PER_CM
-            wavelength = 1e7 / wavenumber
-            if math.isinf(wavelength):
-                raise _wavelength_overflow((j, twice_abs_m), lower, delta_ry)
-            lines.append(_transition_line(((j, twice_abs_m), lower, delta_ry, wavenumber,
-                                           wavelength)))
+            uppers.append((j, twice_abs_m))
+            energies.append(e)
             e_last = e
-    return lines
+    return _lines(uppers, energies, lower, e_lower)
 
 
 def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
@@ -188,12 +193,7 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
     in Rydberg throughout, matching the scan CSV schema.  Evaluation
     failures flag the row instead of aborting the scan.
 
-    What does not depend on s is formed once per scan: the bracket
-    arguments, the 8 m^2 terms and the place of [m-1] at the lowest
-    |m| (``spectrum._scan_denominators``).  Each s value then evaluates
-    every bracket the spin reads once, and M and D from them by the
-    operations of :func:`~qhydrogen.spectrum.denominator` in its order,
-    so every clean row equals ``energy(j, twice_abs_m, q)`` bit for bit.
+    Every clean row equals ``energy(j, twice_abs_m, q)`` bit for bit.
     Every row of an s whose q = e^s leaves the floating range (q is then
     None) or one of whose brackets raises
     :class:`~qhydrogen.qnum.QNumberOverflowError` is flagged "overflow",

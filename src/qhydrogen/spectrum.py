@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Literal, Mapping, NamedTuple, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 from .qnum import DeformationParameter, SpinLabel, _qnumbers, _set, _Value, qnumber
 
@@ -134,56 +134,47 @@ def _denominators(
 ) -> list[float]:
     """D = ((J - M) + S) + 2 at one spin, for each |m| of m_terms and s_terms in step.
 
-    J = 8[j][j+1] is the same in every row of a spin.  M(|m|) =
-    4[m]([m+1] + [m-1]) (:func:`_m_term`) depends on |m| and q alone,
-    and S(|m|) = 8 m^2 = 2 (2|m|)^2 on |m| alone, so a level table forms
-    each M and S once and every spin with that |m| reads it.  A term is
-    the same double whichever row it is formed for (the same operations
-    on the same brackets), so sharing it moves no bit: a table row and
-    a scalar call of :func:`denominator`, which both assemble D here,
-    round identically.  A scan point forms M and D in one pass by these
-    operations in this order (:func:`_scan_denominators`).
+    The one assembly of D, as :func:`_m_terms` is the one M: a level
+    table, a scan and the scalar :func:`denominator` all form D here
+    from J = 8.0 * ([j] * [j+1]), M and S = 2.0 * (2|m|)^2 = 8 m^2.
+    M depends on |m| and q alone and S on |m| alone, so a table forms
+    each once and every spin with that |m| reads it, and a scan forms
+    its S once.  A term is the same double whichever row it is formed
+    for, from the same brackets (``qnum._qnumbers`` is their one
+    evaluation) by the same operations, so every table or scan row
+    equals ``energy(j, twice_abs_m, d)`` bit for bit.  Forming a term
+    raises nothing, and a table adds each spin's bracket [j+1] before
+    its rows, so its first failing row in (j, |m|) order raises what a
+    row-by-row evaluation raises.
     """
     return [((j_term - m) + s) + 2.0 for m, s in zip(m_terms, s_terms)]
 
 
-def _m_term(b: Sequence[float] | Mapping[int, float], tam: int) -> float:
-    """M = 4[m]([m+1] + [m-1]) at 2|m| = tam, from b[k] = [k/2] (a list or a dict).
+def _m_terms(b: Sequence[float], low: float) -> list[float]:
+    """M = 4[m]([m+1] + [m-1]) at each |m| whose [m+1] is in the run b, ascending.
 
-    b is read at non-negative arguments only: [m-1] for |m| < 1 is
-    taken as -[1-|m|], the odd reflection qnumber itself applies to a
-    negative argument.
+    b holds brackets a step of 1 apart, b[i] = [|m|_0 + i], and low is
+    [|m|_0 - 1].  At a lowest |m| below 1 that is the odd reflection
+    -[1 - |m|], as qnumber gives it for a negative argument.
     """
-    return 4.0 * (b[tam] * (b[tam + 2] + (b[tam - 2] if tam >= 2 else -b[2 - tam])))
+    return [4.0 * (c * (up + dn)) for c, up, dn in zip(b, b[1:], [low, *b])]
 
 
 def _scan_denominators(twice_j: int) -> Callable[[DeformationParameter], list[float]]:
     """The function from q to D at spin j for every 2|m| of the spin, ascending.
 
-    A scan has one spin and many q.  What does not depend on q is formed
-    here, once per scan: the bracket arguments [k/2] with k of 2j's
-    parity, k <= 2j+2 (no other is read at spin j), the S terms, and
-    the place of [1-|m|] that stands for [m-1] at the lowest |m|.  Per
-    q the function evaluates those brackets once each, in ascending k
-    and with one sinh(s) (``qnum._qnumbers``), then M and D in one pass
-    over the brackets in step with their neighbours, by the operations
-    of :func:`_m_term` and :func:`_denominators` in their order, so each
-    D is bit-identical to :func:`denominator`'s.  Brackets grow in
-    magnitude with k, so the first one beyond a double raises its
-    :class:`QNumberOverflowError` before any D is formed.
+    A spin reads only the brackets of its parity p, b[i] = [p/2 + i] up
+    to [j+1]; per q they are one ``qnum._qnumbers`` run, so the first
+    one beyond a double raises its :class:`QNumberOverflowError` before
+    any D is formed.
     """
     parity = twice_j % 2
     xs = [k / 2.0 for k in range(parity, twice_j + 3, 2)]
     s_terms = [2.0 * (tam * tam) for tam in range(parity, twice_j + 1, 2)]
-    # [m-1] at 2|m| = parity is -[1/2] (parity 1, the first bracket) or
-    # -[1] (parity 0, the second); above it, the bracket one below.
-    reflected = 1 - parity
 
     def denominators(d: DeformationParameter) -> list[float]:
         b = _qnumbers(xs, d)
-        j_term = 8.0 * (b[-2] * b[-1])
-        return [((j_term - 4.0 * (c * (up + low))) + s) + 2.0
-                for c, up, low, s in zip(b, b[1:], [-b[reflected], *b], s_terms)]
+        return _denominators(8.0 * (b[-2] * b[-1]), _m_terms(b, -b[1 - parity]), s_terms)
 
     return denominators
 
@@ -206,7 +197,8 @@ def denominator(j: SpinLabel, twice_m: int, d: DeformationParameter) -> float:
     tj, tam = j.twice_j, abs(twice_m)
     keys = dict.fromkeys((tj, tj + 2, tam, tam + 2, abs(tam - 2)))
     b = {k: qnumber(k / 2.0, d) for k in keys}
-    (value,) = _denominators(8.0 * (b[tj] * b[tj + 2]), (_m_term(b, tam),), (2.0 * (tam * tam),))
+    m_terms = _m_terms((b[tam], b[tam + 2]), b[tam - 2] if tam >= 2 else -b[2 - tam])
+    (value,) = _denominators(8.0 * (b[tj] * b[tj + 2]), m_terms, (2.0 * (tam * tam),))
     if not value > 0.0:
         raise NonPositiveDenominatorError(tj, twice_m, d.q, value)
     return value
@@ -251,23 +243,12 @@ def _deformed_levels(
     """The deformed :func:`level_table`, each row made by ``make_row`` from its fields.
 
     ``make_row`` is ``_energy_level`` for the table itself, or ``tuple``
-    for a caller that only reads the fields.
-
-    Deformed energies are evaluated from the 2j_max + 3 brackets [k/2],
-    each computed once: each spin adds [j+1], once, at its first row,
-    the one bracket its rows read that no smaller spin did.  The terms
-    of D that depend on |m| alone are formed once per table too: each
-    spin adds M and S at its top |m| = j, the ones its rows read that
-    no smaller spin of its parity formed.  Every D is then assembled by :func:`_denominators` from
-    the spin's J and those shared terms, by the operations of
-    :func:`denominator` in its order, so every row equals
-    ``energy(j, twice_abs_m, d)`` bit for bit, and a failure is raised
-    by the first failing row in ascending (j, |m|) order, as a
-    row-by-row evaluation would raise it.
+    for a caller that only reads the fields.  The brackets are kept as
+    a scan keeps its spin's, one run per parity p of 2j with b[i] =
+    [p/2 + i]; each spin adds [j+1] to its run, and M and S at its top
+    |m| = j to its parity's terms (:func:`_denominators`).
     """
-    b = [qnumber(0.0, d), qnumber(0.5, d)]
-    # M and S at 2|m| = parity, parity + 2, ...: a spin reads those of
-    # the parity of its 2j, up to its own 2j, and adds the one at 2j.
+    runs = ([qnumber(0.0, d)], [qnumber(0.5, d)])
     m_terms: tuple[list[float], list[float]] = ([], [])
     s_terms: tuple[list[float], list[float]] = ([], [])
     rows: list[tuple] = []
@@ -275,11 +256,11 @@ def _deformed_levels(
     for j in map(SpinLabel, range(j_max.twice_j + 1)):
         tj, n = j.twice_j, j.dim
         parity = tj % 2
+        b = runs[parity]
         b.append(qnumber((tj + 2) / 2.0, d))
-        m_terms[parity].append(_m_term(b, tj))
+        m_terms[parity].extend(_m_terms(b[-2:], b[-3] if tj > 1 else -b[1 - parity]))
         s_terms[parity].append(2.0 * (tj * tj))
-        denominators = _denominators(8.0 * (b[tj] * b[tj + 2]), m_terms[parity],
-                                     s_terms[parity])
+        denominators = _denominators(8.0 * (b[-2] * b[-1]), m_terms[parity], s_terms[parity])
         for tam, value in zip(range(parity, tj + 1, 2), denominators):
             if not value > 0.0:
                 raise NonPositiveDenominatorError(tj, tam, d.q, value)
@@ -298,8 +279,7 @@ def level_table(j_max: SpinLabel, d: DeformationParameter, mode: Mode) -> list[E
     energy with ties broken by ascending j then ascending |m|, so the
     output is deterministic even where levels coincide (e.g. at q = 1).
     Deformed rows equal ``energy(j, twice_abs_m, d)`` bit for bit, and
-    a failure is raised as a row-by-row evaluation would raise it
-    (``_deformed_levels``).
+    a failure is raised as a row-by-row evaluation would raise it.
     """
     _check_mode(mode)
     if mode == "undeformed":

@@ -11,73 +11,12 @@ ladder weights, never as a matrix, and no module imports an array
 library.
 """
 
-from .qnum import (
-    DeformationParameter,
-    QNumberOverflowError,
-    SpinLabel,
-    qnumber,
-)
-from .spectrum import (
-    EnergyLevel,
-    NonPositiveDenominatorError,
-    QuantumState,
-    RYDBERG_EV,
-    RYDBERG_PER_CM,
-    degeneracy_summary,
-    denominator,
-    energy,
-    energy_undeformed,
-    enumerate_states,
-    level_table,
-)
-from .lines import (
-    DegenerateTransitionError,
-    ScanRow,
-    TransitionLine,
-    series_table,
-    splitting_scan,
-    transition,
-)
-from .irreps import (
-    IrrepMatrices,
-    VerificationReport,
-    build_irrep,
-    build_irreps,
-    casimir_identity_report,
-    verify_commutators,
-    verify_so4_limit,
-)
+from . import irreps, lines, qnum, spectrum
+from .qnum import *
+from .spectrum import *
+from .lines import *
+from .irreps import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DeformationParameter",
-    "DegenerateTransitionError",
-    "EnergyLevel",
-    "IrrepMatrices",
-    "NonPositiveDenominatorError",
-    "QNumberOverflowError",
-    "QuantumState",
-    "RYDBERG_EV",
-    "RYDBERG_PER_CM",
-    "ScanRow",
-    "SpinLabel",
-    "TransitionLine",
-    "VerificationReport",
-    "build_irrep",
-    "build_irreps",
-    "casimir_identity_report",
-    "degeneracy_summary",
-    "denominator",
-    "energy",
-    "energy_undeformed",
-    "enumerate_states",
-    "level_table",
-    "qnumber",
-    "series_table",
-    "splitting_scan",
-    "transition",
-    "verify_commutators",
-    "verify_so4_limit",
-]
-
+__all__ = [*qnum.__all__, *spectrum.__all__, *lines.__all__, *irreps.__all__]

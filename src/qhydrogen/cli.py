@@ -37,6 +37,7 @@ from .spectrum import (
     RYDBERG_EV,
     RYDBERG_PER_CM,
     NonPositiveDenominatorError,
+    _MODES,
     enumerate_states,
     level_table,
 )
@@ -524,7 +525,7 @@ _DEFORMATION = {
     "--q": ("q", _float, None, "Deformation q > 0 (default 1, the undeformed case)."),
     "--s": ("s", _float, None, "Deformation strength s = ln q; excludes --q."),
 }
-_MODE = {"--mode": ("mode", ("deformed", "undeformed"), "deformed", "")}
+_MODE = {"--mode": ("mode", _MODES, "deformed", "")}
 _UNITS = {"--units": ("units", tuple(sorted(_UNIT_FLAGS)), "rydberg", "Energy output unit.")}
 _FORMAT = {"--format": ("fmt", ("csv", "json", "table"), "csv", "Output document format.")}
 _OUTPUT = {"--output": ("output", _file, None, "Write to this file instead of stdout.")}

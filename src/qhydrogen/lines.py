@@ -28,7 +28,6 @@ LevelKey = tuple[SpinLabel, int]
 
 __all__ = [
     "DegenerateTransitionError",
-    "LevelKey",
     "ScanRow",
     "TransitionLine",
     "series_table",

@@ -40,6 +40,13 @@ class QNumberOverflowError(OverflowError):
 _set = object.__setattr__
 
 
+def _real(value: float, name: str) -> float:
+    """``float(value)``, refusing a bool or text, which float() would take."""
+    if isinstance(value, (bool, str, bytes, bytearray)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 class _Value:
     """Base of the package's immutable value types.
 
@@ -89,6 +96,8 @@ class DeformationParameter(_Value):
     q = 1.0 stores s = ln 1 = +0.0, and :meth:`from_s` with s = 0.0
     stores q = 1.0.  Complex q (a pure phase deformation) is rejected; real
     positive q keeps every bracket, ladder weight and energy real.
+    A bool or text q raises TypeError; ints, floats and numpy scalars
+    are taken.
 
     ``small_s_threshold`` is the fixed |s| = 1e-4 below which the
     bracket evaluation (``_qnumbers``) switches from the sinh ratio to
@@ -110,7 +119,7 @@ class DeformationParameter(_Value):
                 "q must be a positive real; phase (complex unit-circle) "
                 "deformations are not supported"
             )
-        value = float(q)
+        value = _real(q, "q")
         if not math.isfinite(value) or value <= 0.0:
             raise ValueError(f"q must be a finite positive real, got {q!r}")
         _set(self, "q", value)
@@ -118,8 +127,11 @@ class DeformationParameter(_Value):
 
     @classmethod
     def from_s(cls, s: float) -> "DeformationParameter":
-        """Build from s = ln q, storing the given s bit-exactly."""
-        s = float(s)
+        """Build from s = ln q, storing the given s bit-exactly.
+
+        A bool or text s raises TypeError.
+        """
+        s = _real(s, "s")
         if not math.isfinite(s):
             raise ValueError(f"s must be finite, got {s!r}")
         try:
@@ -185,9 +197,10 @@ def qnumber(x: float, d: DeformationParameter) -> float:
     bracket exact in floating point.
 
     Raises :class:`QNumberOverflowError` when the result has no finite
-    double representation, rather than returning infinity.
+    double representation, rather than returning infinity, and
+    TypeError for a bool or text x.
     """
-    x = float(x)
+    x = _real(x, "x")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     if x < 0.0:

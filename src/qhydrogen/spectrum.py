@@ -26,13 +26,13 @@ from __future__ import annotations
 import math
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Literal, NamedTuple, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence, get_args
 
 from .qnum import DeformationParameter, SpinLabel, _qnumbers, _set, _Value, qnumber
 
 Mode = Literal["deformed", "undeformed"]
 
-_MODES = ("deformed", "undeformed")
+_MODES = get_args(Mode)
 
 # The Rydberg energy in eV and the Rydberg constant in 1/cm, both for
 # infinite nuclear mass.
@@ -41,7 +41,6 @@ RYDBERG_PER_CM = 109737.31568
 
 __all__ = [
     "EnergyLevel",
-    "Mode",
     "NonPositiveDenominatorError",
     "QuantumState",
     "RYDBERG_EV",

@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,45 @@ def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+# The package's public names, each declared once, in the __all__ of the
+# module that defines it.
+PUBLIC_NAMES = [
+    "DeformationParameter", "DegenerateTransitionError", "EnergyLevel", "IrrepMatrices",
+    "NonPositiveDenominatorError", "QNumberOverflowError", "QuantumState", "RYDBERG_EV",
+    "RYDBERG_PER_CM", "ScanRow", "SpinLabel", "TransitionLine", "VerificationReport",
+    "build_irrep", "build_irreps", "casimir_identity_report", "degeneracy_summary",
+    "denominator", "energy", "energy_undeformed", "enumerate_states", "level_table",
+    "qnumber", "series_table", "splitting_scan", "transition", "verify_commutators",
+    "verify_so4_limit",
+]
+
+
+def test_public_names_are_the_modules_all():
+    import qhydrogen
+    from qhydrogen import irreps, lines, qnum, spectrum
+
+    assert qhydrogen.__all__ == [*qnum.__all__, *spectrum.__all__, *lines.__all__,
+                                 *irreps.__all__]
+    assert len(set(qhydrogen.__all__)) == len(qhydrogen.__all__)
+    assert sorted(qhydrogen.__all__) == PUBLIC_NAMES
+    # The type aliases are importable from their modules, not exported.
+    from qhydrogen.lines import LevelKey
+    from qhydrogen.spectrum import Mode
+
+    assert typing.get_args(Mode) == spectrum._MODES == ("deformed", "undeformed")
+    assert LevelKey == tuple[qnum.SpinLabel, int]
+
+
+def test_version_has_one_home():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as file:
+        config = tomllib.load(file)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "qhydrogen.__version__"}
 
 
 def test_star_import():

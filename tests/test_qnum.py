@@ -99,6 +99,23 @@ class TestDeformationParameter:
         with pytest.raises(TypeError):
             DeformationParameter(complex(0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [True, False, "2", b"2"],
+                             ids=["true", "false", "str", "bytes"])
+    def test_rejects_bool_and_text(self, bad):
+        with pytest.raises(TypeError, match=f"q must be a real number, got {bad!r}"):
+            DeformationParameter(bad)
+        with pytest.raises(TypeError, match=f"s must be a real number, got {bad!r}"):
+            DeformationParameter.from_s(bad)
+        with pytest.raises(TypeError, match=f"x must be a real number, got {bad!r}"):
+            qnumber(bad, DeformationParameter(2.0))
+
+    @pytest.mark.parametrize("real", [2, 2.0, np.float32(2.0), np.float64(2.0), np.int64(2)])
+    def test_takes_ints_floats_and_numpy_scalars(self, real):
+        d = DeformationParameter(2.0)
+        assert DeformationParameter(real) == d
+        assert DeformationParameter.from_s(real) == DeformationParameter.from_s(2.0)
+        assert qnumber(real, d) == qnumber(2.0, d)
+
     def test_threshold_is_fixed(self):
         assert DeformationParameter(2.0).small_s_threshold == 1e-4
         assert DeformationParameter.from_s(1e-6).small_s_threshold == 1e-4

@@ -22,8 +22,8 @@ An irrep stores, as tuples of floats, the integer brackets of its spin
 and the I+ weights sqrt([j+m+1][j-m]) built from them; no matrix is
 stored or built.  Iz is diagonal and I+- each have one off-diagonal,
 so every relation checked here has nonzeros on one diagonal, and the
-checks run on it in plain float arithmetic, O(2j + 1), reading the
-brackets the irrep holds instead of evaluating them again.
+checks run on it in plain floats, to m = 0 (-1/2) for a mirrored ladder,
+reading the brackets the irrep holds instead of evaluating them again.
 :func:`build_irrep` builds one spin from its own brackets;
 :func:`build_irreps` builds every spin up to j_max, evaluating spin by
 spin the brackets that spin reads and no earlier one did, and hands
@@ -38,7 +38,7 @@ threads.
 from __future__ import annotations
 
 import math
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence
 
 from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, _set, _Value, qnumber
@@ -149,10 +149,15 @@ def _band_report(
     return _verdict(name, _max_abs(lhs), _max_abs(rhs), _max_abs(map(sub, lhs, rhs)), tol)
 
 
-def _ladder_squares(r: IrrepMatrices) -> list[float]:
-    """u_k^2 with a zero on either end: the diagonals of I- I+ (drop the
-    last entry) and of I+ I- (drop the first)."""
-    return [0.0, *map(mul, r.ladder, r.ladder), 0.0]
+def _ladder_squares(u: Sequence[float], n: int) -> list[float]:
+    """0, u_k^2 for the leading weights u, 0, cut to n + 1 entries: the diagonals
+    of I- I+ (drop the last entry) and of I+ I- (drop the first)."""
+    return [0.0, *map(mul, u, u), 0.0][:n + 1]
+
+
+def _read(r: IrrepMatrices) -> int:
+    """How many weights, from m = j down, decide each band (docs/derivations.md, section 3)."""
+    return (r.j.twice_j + 3) // 2 if r.ladder == r.ladder[::-1] else r.dim
 
 
 def _irrep(
@@ -164,7 +169,8 @@ def _irrep(
     """The irrep whose ladder is built from b[k] = [k], k = 0..max(2j, 1)."""
     tj = j.twice_j
     # Column k = 1..2j holds |m>, row k-1 holds |m+1>: [j+m+1] = [2j+1-k].
-    upper, lower = b[tj:0:-1], b[1:tj + 1]
+    # [2j+1-k][k] is a commutative product, so the first half is mirrored.
+    upper, lower = b[tj:tj // 2:-1], b[1:tj - tj // 2 + 1]
     radicands = list(map(mul, upper, lower))
     assert min(radicands, default=0.0) >= 0.0, (
         f"negative ladder radicand {min(radicands)!r} at twice_j={tj}"
@@ -175,6 +181,7 @@ def _irrep(
             math.sqrt(x) * math.sqrt(y) if u == math.inf else u
             for u, x, y in zip(ladder, upper, lower)
         )
+    ladder += ladder[:tj // 2][::-1]
     return IrrepMatrices(j=j, d=d, ladder=ladder, brackets=b, half_brackets=half_brackets)
 
 
@@ -216,18 +223,22 @@ def build_irreps(j_max: SpinLabel, d: DeformationParameter) -> Iterator[IrrepMat
         yield _irrep(SpinLabel(tj), d, tuple(b), tuple(half) if tj % 2 else None)
 
 
-def _relation_bands(r: IrrepMatrices) -> list[tuple[list[float], Sequence[float]]]:
-    """The (lhs, rhs) bands of [Iz, I+] = +I+ and of [I+, I-] = [2 Iz].
+def _relation_bands(
+    r: IrrepMatrices, n: int | None = None
+) -> list[tuple[list[float], Sequence[float]]]:
+    """The (lhs, rhs) bands of [Iz, I+] = +I+ and of [I+, I-] = [2 Iz]
+    on the first n weights, m = j down to j - n + 1 (all by default).
 
     [Iz, I+] lies on the superdiagonal, m_{k-1} u_k - u_k m_k against
     u_k; [I+, I-] on the diagonal, u_{k+1}^2 - u_k^2 against the
     bracket [2 m_k] read from the irrep (docs/derivations.md, section 3).
     """
-    b, u = r.brackets, r.ladder
-    twice_ms = r.j.twice_m_values()
+    n = r.dim if n is None else n
+    b, u = r.brackets, r.ladder[:n]
+    twice_ms = r.j.twice_m_values()[:n]
     doubled = [b[tm] if tm >= 0 else -b[-tm] for tm in twice_ms]
     m = [tm / 2.0 for tm in twice_ms]
-    squares = _ladder_squares(r)
+    squares = _ladder_squares(u, n)
     raised = list(map(sub, map(mul, m, u), map(mul, u, m[1:])))
     closed = list(map(sub, squares[1:], squares))
     return [(raised, u), (closed, doubled)]
@@ -243,16 +254,34 @@ def verify_commutators(r: IrrepMatrices, tol: float) -> list[VerificationReport]
     are the ones the dense matrix products give, bit for bit
     (docs/derivations.md, sections 2-3).  Every [Iz, I-] entry is the
     exact negation of an [Iz, I+] entry, so its report is the [Iz, I+]
-    one under its own name.  Raises :class:`QNumberOverflowError` if an
-    entry is not finite.
+    one under its own name.  A mirrored ladder makes each band its own
+    mirror up to sign, so the weights down to m = 0 (-1/2) decide the
+    reports.  Raises :class:`QNumberOverflowError` if an entry is not finite.
     """
-    (raised, u), (closed, doubled) = _relation_bands(r)
+    (raised, u), (closed, doubled) = _relation_bands(r, _read(r))
     up = _band_report(r, "[Iz,I+] = +I+", raised, u, tol)
     return [
         up,
         VerificationReport("[Iz,I-] = -I-", up.max_abs_deviation, up.tolerance, up.passed),
         _band_report(r, "[I+,I-] = [2Iz]", closed, doubled, tol),
     ]
+
+
+def _casimir_band(r: IrrepMatrices, n: int) -> tuple[list[float], list[float]]:
+    """The (lhs, rhs) diagonals of I- I+ + [Iz][Iz+1] = [j][j+1] Id on
+    the first n weights, m = j down to j - n + 1."""
+    tj = r.j.twice_j
+    # [j+1], [j], ..., down to [0] or [1/2].
+    if tj % 2 == 0:
+        nonnegative = r.brackets[tj // 2 + 1::-1]
+    elif r.half_brackets is not None:
+        nonnegative = r.half_brackets[::-1]
+    else:
+        nonnegative = [qnumber(t / 2.0, r.d) for t in range(tj + 2, 0, -2)]
+    # [j+1], [j], ..., [-j]: below zero [-x] = -[x], for x from [1/2] or [1] up to [j].
+    brackets = [*nonnegative, *map(neg, nonnegative[tj % 2 - 2:0:-1])][:n + 1]
+    products = list(map(mul, brackets[1:], brackets))  # [m][m+1], first [j][j+1]
+    return list(map(add, _ladder_squares(r.ladder[:n], n), products)), [products[0]] * n
 
 
 def casimir_identity_report(r: IrrepMatrices, tol: float) -> VerificationReport:
@@ -266,23 +295,11 @@ def casimir_identity_report(r: IrrepMatrices, tol: float) -> VerificationReport:
     Integer brackets are read from the irrep.  At half-integer j the
     brackets [j+1], ..., [1/2] are read from ``r.half_brackets`` when
     the irrep carries them (:func:`build_irreps`), and otherwise
-    evaluated here, [j+1] first.  Raises :class:`QNumberOverflowError`
-    if an entry is not finite.
+    evaluated here, [j+1] first.  A mirrored ladder lets the weights down
+    to m = 0 (-1/2) decide the report.  Raises
+    :class:`QNumberOverflowError` if an entry is not finite.
     """
-    tj = r.j.twice_j
-    # [j+1], [j], ..., down to [0] or [1/2].
-    if tj % 2 == 0:
-        nonnegative = r.brackets[tj // 2 + 1::-1]
-    elif r.half_brackets is not None:
-        nonnegative = r.half_brackets[::-1]
-    else:
-        nonnegative = [qnumber(t / 2.0, r.d) for t in range(tj + 2, 0, -2)]
-    # [j+1], [j], ..., [-j]: below zero [-x] = -[x], for x from [1/2] or [1] up to [j].
-    brackets = [*nonnegative, *(-x for x in nonnegative[tj % 2 - 2:0:-1])]
-    products = list(map(mul, brackets[1:], brackets))  # [m][m+1]
-    lhs = list(map(add, _ladder_squares(r), products))
-    # The first product, at m = j, is the eigenvalue [j][j+1].
-    return _band_report(r, "I-I+ + [Iz][Iz+1] = [j][j+1] Id", lhs, [products[0]] * r.dim, tol)
+    return _band_report(r, "I-I+ + [Iz][Iz+1] = [j][j+1] Id", *_casimir_band(r, _read(r)), tol)
 
 
 def _kronecker_sum_max(c: Sequence[float], d: Sequence[float], sign: int) -> float:

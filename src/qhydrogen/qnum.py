@@ -41,8 +41,11 @@ _set = object.__setattr__
 
 
 def _real(value: float, name: str) -> float:
-    """``float(value)``, refusing a bool or text, which float() would take."""
-    if isinstance(value, (bool, str, bytes, bytearray)):
+    """``float(value)``, refusing a bool (numpy's by dtype) or text, which float() takes."""
+    if type(value) not in (float, int) and (
+        isinstance(value, (bool, str, bytes, bytearray))
+        or getattr(getattr(value, "dtype", None), "kind", None) == "b"
+    ):
         raise TypeError(f"{name} must be a real number, got {value!r}")
     return float(value)
 
@@ -96,8 +99,8 @@ class DeformationParameter(_Value):
     q = 1.0 stores s = ln 1 = +0.0, and :meth:`from_s` with s = 0.0
     stores q = 1.0.  Complex q (a pure phase deformation) is rejected; real
     positive q keeps every bracket, ladder weight and energy real.
-    A bool or text q raises TypeError; ints, floats and numpy scalars
-    are taken.
+    A bool, built-in or numpy, or text q raises TypeError; ints, floats
+    and numpy integer and floating scalars are taken.
 
     ``small_s_threshold`` is the fixed |s| = 1e-4 below which the
     bracket evaluation (``_qnumbers``) switches from the sinh ratio to
@@ -129,7 +132,7 @@ class DeformationParameter(_Value):
     def from_s(cls, s: float) -> "DeformationParameter":
         """Build from s = ln q, storing the given s bit-exactly.
 
-        A bool or text s raises TypeError.
+        A bool, built-in or numpy, or text s raises TypeError.
         """
         s = _real(s, "s")
         if not math.isfinite(s):
@@ -198,7 +201,7 @@ def qnumber(x: float, d: DeformationParameter) -> float:
 
     Raises :class:`QNumberOverflowError` when the result has no finite
     double representation, rather than returning infinity, and
-    TypeError for a bool or text x.
+    TypeError for a bool, built-in or numpy, or text x.
     """
     x = _real(x, "x")
     if not math.isfinite(x):

@@ -1,5 +1,6 @@
 """Tests for the explicit matrix representations and their verification."""
 
+import contextlib
 import math
 import sys
 import time
@@ -301,6 +302,62 @@ class TestBandedParity:
         d = DeformationParameter.from_s(s)
         for tj in spins:
             assert all_reports(tj, d, *BANDED) == all_reports(tj, d, *DENSE), tj
+
+    @pytest.mark.parametrize("d", PARITY_DEFORMATIONS[:4], ids=lambda d: f"s={d.s!r}")
+    def test_skewed_ladder_is_read_in_full(self, d):
+        # Weights off by up to a few percent, growing down the basis: the
+        # ladder is no longer its own mirror, and the largest residuals
+        # lie past the middle of each band.
+        for tj in (2, 3, 8, 9, 40, 41, 120, 121):
+            r = build_irrep(SpinLabel(tj), d)
+            ladder = tuple(u * (1.0 + 0.01 * k) for k, u in enumerate(r.ladder))
+            assert ladder != ladder[::-1]
+            skewed = IrrepMatrices(r.j, r.d, ladder, r.brackets)
+            banded = verify_commutators(skewed, 1e-11) + [casimir_identity_report(skewed, 1e-11)]
+            dense = dense_verify_commutators(skewed, 1e-11) + [
+                dense_casimir_identity_report(skewed, 1e-11)
+            ]
+            assert banded == dense, tj
+            assert not banded[2].passed and not banded[3].passed, tj
+
+    def test_overflow_past_the_middle_of_a_skewed_ladder_raises(self):
+        r = build_irrep(SpinLabel(9), DeformationParameter(1.3))
+        skewed = IrrepMatrices(r.j, r.d, (*r.ladder[:-1], 1e200), r.brackets)
+        with pytest.raises(QNumberOverflowError, match=r"^\[I\+,I-\] = \[2Iz\] .*twice_j=9,"):
+            verify_commutators(skewed, 1e-11)
+        with pytest.raises(QNumberOverflowError, match=r"^I-I\+ .*twice_j=9,"):
+            casimir_identity_report(skewed, 1e-11)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["s>0", "s<0"])
+    @pytest.mark.parametrize("size", np.geomspace(1e-12, 5.0, 13).tolist(), ids=repr)
+    def test_every_band_is_its_own_mirror(self, size, sign):
+        # What lets the checks read a built irrep's bands down to m = 0
+        # (-1/2) alone: under m -> -m the ladder and the [Iz, I+] band are
+        # palindromes, each [I+, I-] entry is the exact negation of its
+        # mirror, and so is the Casimir's after its m = j entry.
+        def bits(values, sign=1.0):
+            # the bytes of sign * x; adding 0.0 makes a -0.0 0.0 and keeps any
+            # other value, as a zero's sign may differ, which no magnitude sees
+            return (np.array(values, dtype=float) * sign + 0.0).tobytes()
+
+        d = DeformationParameter.from_s(sign * size)
+        built = []
+        with contextlib.suppress(QNumberOverflowError):
+            built.extend(build_irreps(SpinLabel(200), d))
+        assert len(built) > 100
+        for r in built:
+            tj = r.j.twice_j
+            assert bits(r.ladder) == bits(r.ladder[::-1]), (tj, list(map(float.hex, r.ladder)))
+            (raised, u), (closed, doubled) = qhydrogen.irreps._relation_bands(r)
+            lhs, rhs = qhydrogen.irreps._casimir_band(r, r.dim)
+            assert len(raised) == tj and len(closed) == len(lhs) == r.dim
+            for band, mirror in [
+                (raised, 1.0), (u, 1.0), ([x - y for x, y in zip(raised, u)], 1.0),
+                (closed, -1.0), (doubled, -1.0), ([x - y for x, y in zip(closed, doubled)], -1.0),
+                (lhs[1:], 1.0), ([x - y for x, y in zip(lhs, rhs)][1:], 1.0),
+            ]:
+                assert bits(band) == bits(band[::-1], mirror), (tj, list(map(float.hex, band)))
+            assert rhs == [rhs[0]] * r.dim
 
     @pytest.mark.parametrize(
         "d",

@@ -99,41 +99,31 @@ def _half(twice: int) -> str:
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
-def _cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.15g}"
-    return str(value)
-
-
-def _json_value(value: Any) -> str:
-    if value is None:
-        return "null"
+def _json_value(value: str | int | float) -> str:
+    """The JSON text of a config value, or of a string cell that needs escaping."""
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return _cell(value)
+    return f"{value:.15g}" if isinstance(value, float) else str(value)
 
 
-# Rows are formatted a column at a time, which skips the per-cell type
-# dispatch.  `_slot` picks, from the set of value types in a column, one
-# `%` slot and the values that fill it: plain floats, ints and strings
-# that need no quoting fill it as they are, any other column is filled
-# with its cell texts under "%s".  A float/None column is cut into runs
-# of equal adjacent cells: sorted tables repeat most of their energies
-# (at large j the |m| splitting falls below a double's spacing) and a
-# scan repeats s and q on every |m| row, so where runs average two cells
-# or more each run is formatted once and its text repeated.  CSV and
-# JSON turn each chunk of _CHUNK_ROWS rows into text with one row
-# template of these slots; the table maps each slot over its whole
-# column, and renders twice-integer columns as fractions (`_fractions`).
-# `_cell` (with `_json_value` and `_half`) stays the definition of a
-# cell's text; every column path below must produce exactly the string
-# it gives for each value, and any column they do not cover (bool, int
-# mixed with None, subclasses) goes through it cell by cell.  Chunks keep
-# the transposed columns of a long table from sitting in memory at once.
+# `_render` takes the documents of the five table commands: 3-8 columns,
+# each all int, all str, all bool, or float with None; twice-integer
+# columns all int; config values str, int or float.  TestRenderContract
+# in tests/test_cli.py holds every command to this.  A cell's text is
+# "%.15g" for a float, "" for None (null in JSON), "false" or "true" for
+# a bool, and an int or a string as itself, a string quoted as
+# csv.writer or the JSON escape quotes it.  Rows are formatted a column
+# at a time, which skips a per-cell type dispatch: `_slot` gives each
+# kind of column one `%` slot and the values that fill it.  A float/None
+# column is cut into runs of equal adjacent cells: sorted tables repeat
+# most of their energies (at large j the |m| splitting falls below a
+# double's spacing) and a scan repeats s and q on every |m| row, so
+# where runs average two cells or more each run is formatted once and
+# its text repeated.  CSV and JSON turn each chunk of _CHUNK_ROWS rows
+# into text with one row template of these slots; the table maps each
+# slot over its whole column, and renders twice-integer columns as
+# fractions (`_fractions`).  Chunks keep the transposed columns of a long
+# table from sitting in memory at once.
 _CHUNK_ROWS = 2048
 
 # Characters that can make csv.writer quote a field, and those the JSON
@@ -160,11 +150,8 @@ def _csv_field(text: str) -> str:
 
 def _fractions(values: tuple) -> Iterable[str]:
     """A table column of twice-integers as halves: 3 becomes "3/2"."""
-    if set(map(type, values)) <= {int, NoneType}:
-        text = {v: _half(v) for v in set(values) if v is not None}
-        text[None] = ""
-        return map(text.__getitem__, values)
-    return ["" if v is None else _half(v) for v in values]
+    text = {v: _half(v) for v in set(values)}
+    return map(text.__getitem__, values)
 
 
 def _slot(values: tuple, fmt: str) -> tuple[str, Iterable]:
@@ -188,16 +175,14 @@ def _slot(values: tuple, fmt: str) -> tuple[str, Iterable]:
         if types == {float}:
             return "%.15g", values
         return "%s", [none if v is None else f"{v:.15g}" for v in values]
-    if types == {str}:
-        if fmt == "table" or not any(map(_SPECIAL[fmt], set(values))):
-            return ('"%s"' if fmt == "json" else "%s"), values
-        quote = _json_value if fmt == "json" else _csv_field
-        text = {v: quote(v) for v in set(values)}
-        return "%s", map(text.__getitem__, values)
-    if fmt == "json":
-        return "%s", map(_json_value, values)
-    cells = map(_cell, values)
-    return "%s", (map(_csv_field, cells) if fmt == "csv" else cells)
+    if types == {bool}:
+        return "%s", map(("false", "true").__getitem__, values)
+    # A column of strings.
+    if fmt == "table" or not any(map(_SPECIAL[fmt], set(values))):
+        return ('"%s"' if fmt == "json" else "%s"), values
+    quote = _json_value if fmt == "json" else _csv_field
+    text = {v: quote(v) for v in set(values)}
+    return "%s", map(text.__getitem__, values)
 
 
 def _row_lines(fmt: str, keys: Sequence[str], end: str, rows: Sequence[tuple]) -> list[str]:
@@ -220,9 +205,6 @@ def _row_lines(fmt: str, keys: Sequence[str], end: str, rows: Sequence[tuple]) -
 def _emit_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
     lines = _row_lines("csv", [""] + [","] * (len(columns) - 1), "\n", rows)
     lines.insert(0, ",".join(map(_csv_field, columns)) + "\n")
-    if len(columns) == 1:
-        # csv.writer writes a record whose one field is empty as "".
-        lines = ['""\n' if line == "\n" else line for line in lines]
     return "".join(lines)
 
 

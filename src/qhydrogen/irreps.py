@@ -41,7 +41,15 @@ import math
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence
 
-from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, _set, _Value, qnumber
+from .qnum import (
+    DeformationParameter,
+    QNumberOverflowError,
+    SpinLabel,
+    _real,
+    _set,
+    _Value,
+    qnumber,
+)
 
 __all__ = [
     "IrrepMatrices",
@@ -130,7 +138,7 @@ def _verdict(
     name: str, lhs_max: float, rhs_max: float, residual_max: float, tol: float
 ) -> VerificationReport:
     deviation = residual_max / max(1.0, lhs_max, rhs_max)
-    return VerificationReport(name, deviation, float(tol), deviation <= float(tol))
+    return VerificationReport(name, deviation, tol, deviation <= tol)
 
 
 def _max_abs(values: Iterable[float]) -> float:
@@ -256,8 +264,10 @@ def verify_commutators(r: IrrepMatrices, tol: float) -> list[VerificationReport]
     exact negation of an [Iz, I+] entry, so its report is the [Iz, I+]
     one under its own name.  A mirrored ladder makes each band its own
     mirror up to sign, so the weights down to m = 0 (-1/2) decide the
-    reports.  Raises :class:`QNumberOverflowError` if an entry is not finite.
+    reports.  Raises :class:`QNumberOverflowError` if an entry is not
+    finite, and TypeError for a bool (built-in or numpy) or text ``tol``.
     """
+    tol = _real(tol, "tol")
     (raised, u), (closed, doubled) = _relation_bands(r, _read(r))
     up = _band_report(r, "[Iz,I+] = +I+", raised, u, tol)
     return [
@@ -297,8 +307,10 @@ def casimir_identity_report(r: IrrepMatrices, tol: float) -> VerificationReport:
     the irrep carries them (:func:`build_irreps`), and otherwise
     evaluated here, [j+1] first.  A mirrored ladder lets the weights down
     to m = 0 (-1/2) decide the report.  Raises
-    :class:`QNumberOverflowError` if an entry is not finite.
+    :class:`QNumberOverflowError` if an entry is not finite, and
+    TypeError for a bool (built-in or numpy) or text ``tol``.
     """
+    tol = _real(tol, "tol")
     return _band_report(r, "I-I+ + [Iz][Iz+1] = [j][j+1] Id", *_casimir_band(r, _read(r)), tol)
 
 
@@ -334,8 +346,10 @@ def verify_so4_limit(j1: SpinLabel, j2: SpinLabel, tol: float) -> list[Verificat
     [Iz, I+] residual off it.  So neither the product module nor a
     complex number is formed; the L L and M~ M~ reports agree, and the
     [.y,.z] and [.z,.x] reports of all three families share one value
-    (docs/derivations.md, section 9).
+    (docs/derivations.md, section 9).  A bool (built-in or numpy) or
+    text ``tol`` raises TypeError.
     """
+    tol = _real(tol, "tol")
     undeformed = DeformationParameter(1.0)
     first, second = (
         [(lhs, rhs, list(map(sub, lhs, rhs)))

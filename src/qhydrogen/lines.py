@@ -14,7 +14,7 @@ import math
 from functools import partial
 from typing import NamedTuple, Sequence
 
-from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel
+from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, _real
 from .spectrum import (
     RYDBERG_PER_CM,
     _check_weight,
@@ -190,7 +190,9 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
 
     One row per s value (in input order) per |m| (ascending).  Rows are
     in Rydberg throughout, matching the scan CSV schema.  Evaluation
-    failures flag the row instead of aborting the scan.
+    failures flag the row instead of aborting the scan.  An s that is
+    not finite raises ValueError, and a bool (built-in or numpy) or text
+    s raises TypeError.
 
     Every clean row equals ``energy(j, twice_abs_m, q)`` bit for bit.
     Every row of an s whose q = e^s leaves the floating range (q is then
@@ -206,7 +208,7 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
     rows: list[ScanRow] = []
     append = rows.append
     for s in s_values:
-        s = float(s)
+        s = _real(s, "s")
         if not math.isfinite(s):
             raise ValueError(f"s values must be finite, got {s!r}")
         q = None

@@ -10,6 +10,7 @@ import os
 import re
 import sys
 from pathlib import Path
+from types import NoneType
 
 import numpy as np
 import pytest
@@ -911,8 +912,8 @@ _ORACLE = {
     "table": lambda config, columns, rows: _oracle_table(columns, rows),
 }
 
-# Equal values with different texts (0.0 and -0.0, 1 and True) must not
-# share a formatted string, so both kinds of value are drawn often.
+# Equal values with different texts (0.0 and -0.0) must not share a
+# formatted string, so both are drawn often.
 _floats = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
                      1e16, -1e16]),
@@ -922,6 +923,8 @@ _ints = st.one_of(st.integers(-3, 3), st.integers(-(10 ** 20), 10 ** 20))
 _strs = st.text(st.one_of(st.sampled_from(list(',"\\\n\r %{}')), st.characters()), max_size=8)
 _nones = st.none()
 _bools = st.booleans()
+# The column kinds `_render` takes: all int, all str, all bool, or float
+# with None (TestRenderContract holds the commands to them).
 _cell_values = {
     "int": _ints,
     "float": _floats,
@@ -929,25 +932,15 @@ _cell_values = {
     "bool": _bools,
     "none": _nones,
     "float_none": st.one_of(_floats, _nones),
-    "int_none": st.one_of(_ints, _nones),
-    "any": st.one_of(_ints, _floats, _strs, _bools, _nones),
-}
-# Fraction columns hold twice-integers, possibly with None; the other
-# types check that a fraction column the fast path cannot take still
-# renders _half per cell.
-_fraction_values = {
-    "int": _ints,
-    "int_none": st.one_of(_ints, _nones),
-    "none": _nones,
-    "any": st.one_of(_ints, _floats, _bools, _nones),
 }
 
 
 @st.composite
 def _column_specs(draw):
     if draw(st.booleans()):
+        # Fraction columns hold twice-integers.
         name = draw(st.sampled_from(sorted(_FRACTION_COLUMNS)))
-        values = _fraction_values[draw(st.sampled_from(sorted(_fraction_values)))]
+        values = _ints
     else:
         name = draw(st.sampled_from(["energy", "unit", "flag", "relation", "passed", "x"]))
         values = _cell_values[draw(st.sampled_from(sorted(_cell_values)))]
@@ -962,11 +955,11 @@ def _fresh(value):
 class TestColumnFormatters:
     @pytest.mark.parametrize("n_rows", [0, 1, 7, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
     @settings(max_examples=20, deadline=None)
-    @given(specs=st.lists(_column_specs(), min_size=1, max_size=6),
+    @given(specs=st.lists(_column_specs(), min_size=2, max_size=6),
            run=st.sampled_from([1, 2, 3, 7, 1000]), fresh=st.booleans())
     @example(
         specs=[("energy", [0.0, -0.0, 1.5]), ("q", [None, -0.0, 0.0]),
-               ("twice_abs_m", [1, True, None, 0, False]), ("twice_j", [3, None]),
+               ("twice_abs_m", [1, 0, 2, 0, 1]), ("twice_j", [3, 0]),
                ("relation", ["a,b", 'x"y\\', ""]), ("passed", [True, False])],
         run=1, fresh=False,
     )
@@ -995,14 +988,15 @@ class TestColumnFormatters:
              run=1000, fresh=False)
     @example(specs=[("energy", [-0.125, 0.0, -0.0]), ("q", [None, float("nan"), 3.0])],
              run=3, fresh=True)
-    # A last column of only "" and None: the table strips the separators
-    # and padding that would end each row.
-    @example(specs=[("energy", [-0.25, 1e16]), ("flag", ["", None])], run=1, fresh=False)
+    # A last column of only "": the table strips the separators and
+    # padding that would end each row.
+    @example(specs=[("energy", [-0.25, 1e16]), ("flag", [""])], run=1, fresh=False)
     # Last-column strings that end in spaces lose them to the strip.
     @example(specs=[("twice_j", [1, 12]), ("relation", ["a  ", " ", "b c "])], run=2,
              fresh=False)
-    # A table of one column.
-    @example(specs=[("energy", [None, -0.0625, 2.5e-310])], run=1, fresh=False)
+    # A flagged row first: its empty cells set no width.
+    @example(specs=[("energy", [None, -0.0625, 2.5e-310]), ("flag", ["overflow", "", ""])],
+             run=1, fresh=False)
     def test_render_matches_per_cell_emitters(self, n_rows, specs, run, fresh):
         # Row i takes pool value i // run + k in column k, so ``run`` rows
         # in a row share one value and neighbours in a pool are neighbours
@@ -1012,7 +1006,7 @@ class TestColumnFormatters:
                 for i in range(n_rows)]
         if fresh:
             rows = [tuple(map(_fresh, row)) for row in rows]
-        config = {"command": "x", "q": -0.0, "s": None, "mode": 'a"b', "flag": True}
+        config = {"command": "x", "q": -0.0, "s": 5e-324, "mode": 'a"b', "count": 10 ** 20}
         for fmt, oracle in _ORACLE.items():
             # Compared line by line: a failure then names the first differing
             # line instead of diffing two documents of thousands of rows.
@@ -1050,3 +1044,55 @@ class TestColumnFormatters:
         assert code == 0
         assert len(json.loads(out)["rows"]) == 21 * 100 > _CHUNK_ROWS
         assert target.read_bytes() == out.encode("utf-8")
+
+
+class TestRenderContract:
+    # Each command once per format: every unit, both modes, an empty
+    # series, a scan with clean rows, rows of an overflowing q (None),
+    # of an overflowing bracket and of a non-positive denominator, and a
+    # verify run with passed and failed relations.  Each run is
+    # (exit code, argv without --format).
+    RUNS = [
+        *[(0, "levels", "--q", "1.3", "--j-max", "5", "--units", u)
+          for u in ("rydberg", "ev", "wavenumber")],
+        (0, "levels", "--s", "-0.5", "--j-max", "4", "--mode", "undeformed"),
+        (0, "states", "--j", "3"),
+        (0, "states", "--j", "4", "--mode", "undeformed"),
+        *[(0, "lines", "--q", "1.1", "--j-max", "4", "--lower-j", "1", "--lower-m", "1",
+           "--units", u) for u in ("rydberg", "ev", "wavenumber")],
+        (0, "lines", "--q", "2", "--j-max", "0"),
+        (0, "scan", "--j", "5", "--s-values", "0,1e-6,-0.3,709.5,800"),
+        (0, "scan", "--j", "1030", "--s-values", repr(math.log(2.0))),
+        (0, "scan", "--j", "2", "--s-min", "-1", "--s-max", "1", "--s-count", "5"),
+        (0, "verify", "--q", "1.1", "--j-max", "4"),
+        (2, "verify", "--q", "3", "--j-max", "6", "--tolerance", "1e-300"),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_commands_render_only_the_kinds_render_takes(self, capsys, monkeypatch, fmt):
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return _render(*args)
+
+        monkeypatch.setattr("qhydrogen.cli._render", record)
+        for code, *args in self.RUNS:
+            assert run_cli(capsys, *args, "--format", fmt)[0] == code, args
+        assert len(calls) == len(self.RUNS)
+        seen = set()
+        for got_fmt, config, columns, rows in calls:
+            assert got_fmt == fmt
+            assert 3 <= len(columns) <= 8, columns
+            assert {type(v) for v in config.values()} <= {str, int, float}, config
+            for name, values in zip(columns, zip(*rows)):
+                kinds = frozenset(map(type, values))
+                if name in _FRACTION_COLUMNS:
+                    assert kinds == {int}, (config, name, kinds)
+                else:
+                    assert kinds in ({int}, {str}, {bool}) or kinds <= {float, NoneType}, (
+                        config, name, kinds)
+                seen.add(kinds)
+            seen.add(len(rows) > 0)
+        # The grid reached the kinds a narrower one could miss.
+        assert {frozenset({float, NoneType}), frozenset({bool}), False} <= seen

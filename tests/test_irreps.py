@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -270,6 +271,36 @@ class TestCommutators:
         r = build_irrep(SpinLabel(4), DeformationParameter(1.5))
         for rep in verify_commutators(r, 1e-30):
             assert rep.passed == (rep.max_abs_deviation <= rep.tolerance)
+
+
+    @pytest.mark.parametrize(
+        "bad",
+        [True, False, "1e-11", b"1e-3", np.True_, np.False_],
+        ids=["true", "false", "str", "bytes", "np-true", "np-false"],
+    )
+    def test_tolerance_rejects_bool_and_text(self, bad):
+        # float() takes every one of these; a True tolerance of 1.0 passed everything.
+        r = build_irrep(SpinLabel(3), DeformationParameter(1.3))
+        message = re.escape(f"tol must be a real number, got {bad!r}")
+        with pytest.raises(TypeError, match=message):
+            verify_commutators(r, bad)
+        with pytest.raises(TypeError, match=message):
+            casimir_identity_report(r, bad)
+        with pytest.raises(TypeError, match=message):
+            verify_so4_limit(SpinLabel(1), SpinLabel(2), bad)
+
+    @pytest.mark.parametrize("tol", [1, np.float64(1e-11), np.float32(1e-3), np.int64(2)])
+    def test_tolerance_takes_ints_and_numpy_floats(self, tol):
+        r = build_irrep(SpinLabel(3), DeformationParameter(1.3))
+        checks = [
+            lambda t: verify_commutators(r, t),
+            lambda t: [casimir_identity_report(r, t)],
+            lambda t: verify_so4_limit(SpinLabel(1), SpinLabel(2), t),
+        ]
+        for check in checks:
+            reports = check(tol)
+            assert reports == check(float(tol))
+            assert {type(rep.tolerance) for rep in reports} == {float}
 
 
 class TestBandedParity:

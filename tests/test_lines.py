@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,21 @@ class TestSeriesTable:
 
 
 class TestSplittingScan:
+    @pytest.mark.parametrize(
+        "bad",
+        [True, False, "0.5", b"0.5", np.True_, np.False_],
+        ids=["true", "false", "str", "bytes", "np-true", "np-false"],
+    )
+    def test_rejects_bool_and_text_s(self, bad):
+        # float() takes every one of these, so before they scanned as s = 0.5, 1 or 0.
+        with pytest.raises(TypeError, match=re.escape(f"s must be a real number, got {bad!r}")):
+            splitting_scan(SpinLabel(1), [0.1, bad])
+
+    def test_takes_ints_and_numpy_floats(self):
+        got = splitting_scan(SpinLabel(3), [1, np.float64(0.5), np.float32(0.25), np.int64(-1)])
+        assert got == splitting_scan(SpinLabel(3), [1.0, 0.5, 0.25, -1.0])
+        assert {type(row.s) for row in got} == {float}
+
     def test_zero_s_gives_exact_zero_deviation(self):
         rows = splitting_scan(SpinLabel(2), [0.0])
         assert [r.twice_abs_m for r in rows] == [0, 2]

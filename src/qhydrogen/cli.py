@@ -27,7 +27,6 @@ import re
 import sys
 from itertools import chain, compress, repeat
 from operator import is_not, ne, sub
-from types import NoneType
 from typing import Any, Callable, Iterable, Sequence
 
 from .irreps import build_irrep, build_irreps, casimir_identity_report, verify_commutators
@@ -100,7 +99,7 @@ def _half(twice: int) -> str:
 
 
 def _json_value(value: str | int | float) -> str:
-    """The JSON text of a config value, or of a string cell that needs escaping."""
+    """The JSON text of a config value or of a string cell."""
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     return f"{value:.15g}" if isinstance(value, float) else str(value)
@@ -112,31 +111,30 @@ def _json_value(value: str | int | float) -> str:
 # in tests/test_cli.py holds every command to this.  A cell's text is
 # "%.15g" for a float, "" for None (null in JSON), "false" or "true" for
 # a bool, and an int or a string as itself, a string quoted as
-# csv.writer or the JSON escape quotes it.  Rows are formatted a column
-# at a time, which skips a per-cell type dispatch: `_slot` gives each
-# kind of column one `%` slot and the values that fill it.  A float/None
-# column is cut into runs of equal adjacent cells: sorted tables repeat
-# most of their energies (at large j the |m| splitting falls below a
-# double's spacing) and a scan repeats s and q on every |m| row, so
-# where runs average two cells or more each run is formatted once and
-# its text repeated.  CSV and JSON turn each chunk of _CHUNK_ROWS rows
-# into text with one row template of these slots; the table maps each
-# slot over its whole column, and renders twice-integer columns as
-# fractions (`_fractions`).  Chunks keep the transposed columns of a long
-# table from sitting in memory at once.
+# csv.writer or the JSON escape quotes it.  Rows are built a column at a
+# time, which skips a per-cell type dispatch: `_texts` gives each cell's
+# text for one column, and each row is one str.join of its cells' texts
+# (a `%` row template costs about three times as much per row, even with
+# every slot a string).  An int, bool or str column formats each
+# distinct value once, through a dict.  A float/None column is cut into
+# runs of equal adjacent cells: sorted tables repeat most of their
+# energies (at large j the |m| splitting falls below a double's spacing)
+# and a scan repeats s and q on every |m| row, so where runs average two
+# cells or more each run is formatted once and its text repeated.  JSON
+# folds each '"key": ' into its column's texts.  CSV and JSON build
+# _CHUNK_ROWS rows at a time, which keeps the transposed columns of a
+# long table from sitting in memory at once; the table takes each
+# column whole, for its width, and pads each distinct text once.
 _CHUNK_ROWS = 2048
 
-# Characters that can make csv.writer quote a field, and those the JSON
-# string escape rewrites; a string without them is its own cell text.
-_SPECIAL = {
-    "csv": re.compile('[,"\r\n]').search,
-    "json": re.compile(r'["\\]').search,
-}
+# Characters that can make csv.writer quote a field; a string without
+# them is its own field text.
+_CSV_SPECIAL = re.compile('[,"\r\n]').search
 
 
 def _csv_field(text: str) -> str:
     """The text csv.writer gives ``text`` as one field of a longer record."""
-    if not _SPECIAL["csv"](text):
+    if not _CSV_SPECIAL(text):
         return text
     # csv.writer has the last word: with "\n" line ends, Python 3.11
     # leaves a lone "\r" unquoted.  Imported here, its one use, so that
@@ -148,64 +146,46 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _fractions(values: tuple) -> Iterable[str]:
-    """A table column of twice-integers as halves: 3 becomes "3/2"."""
-    text = {v: _half(v) for v in set(values)}
+def _texts(values: tuple, fmt: str, prefix: str = "") -> Iterable[str]:
+    """The text of each cell of one column in ``fmt``, led by ``prefix``."""
+    if not values or values[0] is None or type(values[0]) is float:
+        none = prefix + ("null" if fmt == "json" else "")
+        differ = list(map(ne, values[1:], values))
+        if 2 * (differ.count(True) + 1) > len(values):
+            return [none if v is None else f"{prefix}{v:.15g}" for v in values]
+        # Equal floats print alike, but for 0.0 and -0.0: a column that
+        # holds a zero takes its runs by identity.  By value, each nan is
+        # a run of its own.
+        if 0.0 in values:
+            differ = list(map(is_not, values[1:], values))
+        starts = [0, *compress(range(1, len(values)), differ)]
+        texts = [none if v is None else f"{prefix}{v:.15g}"
+                 for v in map(values.__getitem__, starts)]
+        lengths = map(sub, [*starts[1:], len(values)], starts)
+        return chain.from_iterable(map(repeat, texts, lengths))
+    if type(values[0]) is str:
+        cell = {"csv": _csv_field, "json": _json_value}.get(fmt, str)
+    else:
+        cell = ("false", "true").__getitem__ if type(values[0]) is bool else str
+    text = {v: prefix + cell(v) for v in set(values)}
     return map(text.__getitem__, values)
 
 
-def _slot(values: tuple, fmt: str) -> tuple[str, Iterable]:
-    """One column's `%` slot in a row of ``fmt``, and what fills it."""
-    types = set(map(type, values))
-    if types == {int}:
-        return "%d", values
-    if types <= {float, NoneType}:
-        differ = list(map(ne, values[1:], values))
-        none = "null" if fmt == "json" else ""
-        if 2 * (differ.count(True) + 1) <= len(values):
-            # Equal floats print alike, but for 0.0 and -0.0: a column that
-            # holds a zero takes its runs by identity.  By value, each nan
-            # is a run of its own.
-            if 0.0 in values:
-                differ = list(map(is_not, values[1:], values))
-            starts = [0, *compress(range(1, len(values)), differ)]
-            texts = [none if v is None else f"{v:.15g}" for v in map(values.__getitem__, starts)]
-            lengths = map(sub, [*starts[1:], len(values)], starts)
-            return "%s", chain.from_iterable(map(repeat, texts, lengths))
-        if types == {float}:
-            return "%.15g", values
-        return "%s", [none if v is None else f"{v:.15g}" for v in values]
-    if types == {bool}:
-        return "%s", map(("false", "true").__getitem__, values)
-    # A column of strings.
-    if fmt == "table" or not any(map(_SPECIAL[fmt], set(values))):
-        return ('"%s"' if fmt == "json" else "%s"), values
-    quote = _json_value if fmt == "json" else _csv_field
-    text = {v: quote(v) for v in set(values)}
-    return "%s", map(text.__getitem__, values)
-
-
-def _row_lines(fmt: str, keys: Sequence[str], end: str, rows: Sequence[tuple]) -> list[str]:
-    """Each row's text: key, slot, key, slot, ..., end, one % template per chunk.
-
-    The keys are literal template text, so they must have any % doubled.
-    """
+def _row_lines(fmt: str, prefixes: Sequence[str], rows: Sequence[tuple]) -> list[str]:
+    """Each row's text, its cells joined on "," (CSV) or ", " (JSON)."""
+    join = ("," if fmt == "csv" else ", ").join
     lines: list[str] = []
     for start in range(0, len(rows), _CHUNK_ROWS):
-        chunk = rows[start:start + _CHUNK_ROWS]
-        cols = list(zip(*chunk))
-        slots, fills = zip(*[_slot(col, fmt) for col in cols])
-        template = "".join(key + slot for key, slot in zip(keys, slots)) + end
-        if any(fill is not col for fill, col in zip(fills, cols)):
-            chunk = zip(*fills)
-        lines.extend(map(template.__mod__, chunk))
+        cols = zip(*rows[start:start + _CHUNK_ROWS])
+        lines.extend(map(join, zip(*map(_texts, cols, repeat(fmt), prefixes))))
     return lines
 
 
 def _emit_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
-    lines = _row_lines("csv", [""] + [","] * (len(columns) - 1), "\n", rows)
-    lines.insert(0, ",".join(map(_csv_field, columns)) + "\n")
-    return "".join(lines)
+    lines = _row_lines("csv", [""] * len(columns), rows)
+    lines.insert(0, ",".join(map(_csv_field, columns)))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _emit_json(config: dict[str, Any], columns: Sequence[str], rows: Sequence[tuple]) -> str:
@@ -214,33 +194,33 @@ def _emit_json(config: dict[str, Any], columns: Sequence[str], rows: Sequence[tu
     tail = "\n  ]\n}\n"
     if not rows:
         return head + tail
-    keys = [f'"{c}": '.replace("%", "%%") for c in columns]
-    keys = ["    {" + keys[0]] + [", " + key for key in keys[1:]]
-    lines = _row_lines("json", keys, "}", rows)
+    keys = [f'"{c}": ' for c in columns]
+    keys[0] = "    {" + keys[0]
     # Gluing head and tail onto the end lines lets one join build the
     # document instead of copying the joined rows twice more.
+    lines = _row_lines("json", keys, rows)
     lines[0] = head + lines[0]
-    lines[-1] += tail
-    return ",\n".join(lines)
+    lines[-1] += "}" + tail
+    return "},\n".join(lines)
 
 
 def _emit_table(columns: Sequence[str], rows: Sequence[tuple]) -> str:
     names = [_FRACTION_COLUMNS.get(c, c) for c in columns]
     cols = zip(*rows) if rows else [()] * len(columns)
-
-    def cells(name: str, values: tuple) -> Iterable[str]:
-        if name in _FRACTION_COLUMNS:
-            return _fractions(values)
-        slot, fill = _slot(values, "table")
-        return fill if slot == "%s" else map(slot.__mod__, fill)
-
-    rendered = [list(cells(c, col)) for c, col in zip(columns, cols)]
-    widths = [max(len(n), max(map(len, col), default=0)) for n, col in zip(names, rendered)]
+    rendered = [
+        # Twice-integers as halves: 3 becomes "3/2".
+        list(map({v: _half(v) for v in set(col)}.__getitem__, col))
+        if c in _FRACTION_COLUMNS else list(_texts(col, "table"))
+        for c, col in zip(columns, cols)
+    ]
+    widths = [max(len(n), max(map(len, set(col)), default=0))
+              for n, col in zip(names, rendered)]
     out = ["  ".join(n.ljust(w) for n, w in zip(names, widths)).rstrip()]
     out.append("  ".join("-" * w for w in widths))
     # Every column but the last is padded to its width; rstrip then takes
     # off what padding would have ended the row.
-    padded = [map(str.ljust, col, repeat(w)) for col, w in zip(rendered[:-1], widths)]
+    padded = [map({t: t.ljust(w) for t in set(col)}.__getitem__, col)
+              for col, w in zip(rendered[:-1], widths)]
     out.extend(map(str.rstrip, map("  ".join, zip(*padded, rendered[-1]))))
     return "\n".join(out) + "\n"
 

@@ -45,8 +45,8 @@ from .qnum import (
     DeformationParameter,
     QNumberOverflowError,
     SpinLabel,
-    _real,
     _set,
+    _tolerance,
     _Value,
     qnumber,
 )
@@ -265,9 +265,10 @@ def verify_commutators(r: IrrepMatrices, tol: float) -> list[VerificationReport]
     one under its own name.  A mirrored ladder makes each band its own
     mirror up to sign, so the weights down to m = 0 (-1/2) decide the
     reports.  Raises :class:`QNumberOverflowError` if an entry is not
-    finite, and TypeError for a bool (built-in or numpy) or text ``tol``.
+    finite, TypeError for a bool (built-in or numpy) or text ``tol``, and
+    ValueError for a ``tol`` that is not finite and positive.
     """
-    tol = _real(tol, "tol")
+    tol = _tolerance(tol)
     (raised, u), (closed, doubled) = _relation_bands(r, _read(r))
     up = _band_report(r, "[Iz,I+] = +I+", raised, u, tol)
     return [
@@ -307,10 +308,11 @@ def casimir_identity_report(r: IrrepMatrices, tol: float) -> VerificationReport:
     the irrep carries them (:func:`build_irreps`), and otherwise
     evaluated here, [j+1] first.  A mirrored ladder lets the weights down
     to m = 0 (-1/2) decide the report.  Raises
-    :class:`QNumberOverflowError` if an entry is not finite, and
-    TypeError for a bool (built-in or numpy) or text ``tol``.
+    :class:`QNumberOverflowError` if an entry is not finite, TypeError
+    for a bool (built-in or numpy) or text ``tol``, and ValueError for a
+    ``tol`` that is not finite and positive.
     """
-    tol = _real(tol, "tol")
+    tol = _tolerance(tol)
     return _band_report(r, "I-I+ + [Iz][Iz+1] = [j][j+1] Id", *_casimir_band(r, _read(r)), tol)
 
 
@@ -347,9 +349,10 @@ def verify_so4_limit(j1: SpinLabel, j2: SpinLabel, tol: float) -> list[Verificat
     complex number is formed; the L L and M~ M~ reports agree, and the
     [.y,.z] and [.z,.x] reports of all three families share one value
     (docs/derivations.md, section 9).  A bool (built-in or numpy) or
-    text ``tol`` raises TypeError.
+    text ``tol`` raises TypeError, and one that is not finite and
+    positive ValueError.
     """
-    tol = _real(tol, "tol")
+    tol = _tolerance(tol)
     undeformed = DeformationParameter(1.0)
     first, second = (
         [(lhs, rhs, list(map(sub, lhs, rhs)))

@@ -50,6 +50,18 @@ def _real(value: float, name: str) -> float:
     return float(value)
 
 
+def _tolerance(value: float) -> float:
+    """``_real(value, "tol")``, refusing a tolerance that is not finite and positive.
+
+    An infinite tolerance would pass every relation, and a nan, zero or
+    negative one would fail every relation.
+    """
+    tol = _real(value, "tol")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    return tol
+
+
 class _Value:
     """Base of the package's immutable value types.
 

@@ -26,8 +26,8 @@ from qhydrogen.cli import (
     _level_rows,
     _linspace,
     _render,
-    _slot,
     _state_count,
+    _texts,
     main,
 )
 from qhydrogen.irreps import build_irrep, build_irreps, casimir_identity_report, verify_commutators
@@ -1019,7 +1019,8 @@ class TestColumnFormatters:
         # 500 runs of 1-7 value-equal but distinct floats, so a text per
         # cell would give one string object per cell, not per run.  With a
         # zero in the column the runs are taken by identity, so there
-        # each run is one object.
+        # each run is one object.  An int and a str column, each cell its
+        # own object, give one string object per distinct value.
         values, runs = [], 0
         for k in range(500):
             value = -1.0 / (k + 3)
@@ -1029,11 +1030,16 @@ class TestColumnFormatters:
         if zero:
             values.append(0.0)
             runs += 1
-        slot, fill = _slot(tuple(values), fmt)
-        texts = list(fill)
-        assert slot == "%s"
+        texts = list(_texts(tuple(values), fmt))
         assert texts == [_oracle_cell(v) for v in values]
         assert len(set(map(id, texts))) == runs
+        ints = [10 ** 20 + k % 13 - 6 for k in range(500)]
+        strs = ["".join(["unit", str(k % 3)]) for k in range(500)]
+        oracle = _oracle_json_value if fmt == "json" else _oracle_cell
+        for column, expected in ((ints, _oracle_cell), (strs, oracle)):
+            texts = list(_texts(tuple(column), fmt))
+            assert texts == [expected(v) for v in column]
+            assert len(set(map(id, texts))) == len(set(column))
 
     def test_output_file_matches_stdout_past_one_chunk(self, capsys, tmp_path):
         args = ("scan", "--j", "40", "--s-min", "-2", "--s-max", "30", "--s-count", "100",

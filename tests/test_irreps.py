@@ -289,6 +289,19 @@ class TestCommutators:
         with pytest.raises(TypeError, match=message):
             verify_so4_limit(SpinLabel(1), SpinLabel(2), bad)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1],
+                             ids=["inf", "-inf", "nan", "zero", "negative"])
+    def test_tolerance_rejects_non_finite_and_non_positive(self, bad):
+        # inf passed every relation; nan, 0 and -1 failed every one, with no error.
+        r = build_irrep(SpinLabel(3), DeformationParameter(1.3))
+        message = re.escape(f"tol must be finite and positive, got {float(bad)!r}")
+        with pytest.raises(ValueError, match=message):
+            verify_commutators(r, bad)
+        with pytest.raises(ValueError, match=message):
+            casimir_identity_report(r, bad)
+        with pytest.raises(ValueError, match=message):
+            verify_so4_limit(SpinLabel(1), SpinLabel(2), bad)
+
     @pytest.mark.parametrize("tol", [1, np.float64(1e-11), np.float32(1e-3), np.int64(2)])
     def test_tolerance_takes_ints_and_numpy_floats(self, tol):
         r = build_irrep(SpinLabel(3), DeformationParameter(1.3))

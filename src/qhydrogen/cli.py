@@ -177,7 +177,11 @@ def _row_lines(fmt: str, prefixes: Sequence[str], rows: Sequence[tuple]) -> list
     lines: list[str] = []
     for start in range(0, len(rows), _CHUNK_ROWS):
         cols = zip(*rows[start:start + _CHUNK_ROWS])
-        lines.extend(map(join, zip(*map(_texts, cols, repeat(fmt), prefixes))))
+        # A list: `*`-unpacking a map here left one tuple per chunk on the
+        # interpreter's free list, allocated among the row strings, which
+        # then kept freed rows resident (bulk-tables peak RSS +4 MiB).
+        texts = [_texts(col, fmt, prefix) for col, prefix in zip(cols, prefixes)]
+        lines.extend(map(join, zip(*texts)))
     return lines
 
 

@@ -12,7 +12,7 @@ one line per report: its relation name, the ``float.hex`` of its
 deviation and tolerance, and its verdict.  The header hashes the inputs
 of every op, so a change to gen shows apart from a change to `src/`.
 
-The test regenerates the ledger in process (about 5 s on a 2-vCPU
+The test regenerates the ledger in process (3-4 s on a 2-vCPU
 x86-64 container) and, on a mismatch, names each op that moved with its
 argv and its first ledger line that differs.  Running this module as a
 script rewrites the file:

@@ -20,24 +20,22 @@ recombination into the rotation/Runge-Lenz pattern.
 
 An irrep stores, as tuples of floats, the integer brackets of its spin
 and the I+ weights sqrt([j+m+1][j-m]) built from them; no matrix is
-stored or built.  Iz is diagonal and I+- each have one off-diagonal,
-so every relation checked here has nonzeros on one diagonal, and the
-checks run on it in plain floats, to m = 0 (-1/2) for a mirrored ladder,
-reading the brackets the irrep holds instead of evaluating them again.
-:func:`build_irrep` builds one spin from its own brackets;
-:func:`build_irreps` builds every spin up to j_max, evaluating spin by
-spin the brackets that spin reads and no earlier one did, and hands
-each half-integer spin its Casimir brackets too.  One band kernel
-serves every check: :func:`verify_commutators` reads the [Iz, I+] and [I+, I-] bands from
-it, and :func:`verify_so4_limit` reads the q = 1 recombination, a
-Kronecker sum of two copies, from halves of the same bands, so no
-complex number is formed.  Built values can be shared freely across
-threads.
+stored or built.  Iz is diagonal and I+- each have one off-diagonal, so
+every relation checked here has nonzeros on one diagonal, and the checks
+run on it in plain floats, to m = 0 (-1/2) for a mirrored ladder, from
+the brackets the irrep holds.  :func:`build_irrep` builds one spin;
+:func:`build_irreps` builds every spin up to j_max, evaluating each
+bracket once, the Casimir's too.  :func:`verify_commutators` reads the
+[Iz, I+] and [I+, I-] bands, and :func:`verify_so4_limit` reads the
+q = 1 recombination, a Kronecker sum of two copies, from halves of the
+same bands, so no complex number is formed.  Built values can be shared
+freely across threads.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain, islice, repeat
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -145,16 +143,17 @@ def _max_abs(values: Iterable[float]) -> float:
     return max(map(abs, values), default=0.0)
 
 
-def _band_report(
-    r: IrrepMatrices, name: str, lhs: Sequence[float], rhs: Sequence[float], tol: float
-) -> VerificationReport:
-    """Report on the nonzero band of a relation, refusing entries beyond a double."""
-    if not (all(map(math.isfinite, lhs)) and all(map(math.isfinite, rhs))):
-        raise QNumberOverflowError(
-            f"{name} has an entry beyond double precision at "
-            f"twice_j={r.j.twice_j}, s={r.d.s!r}"
-        )
-    return _verdict(name, _max_abs(lhs), _max_abs(rhs), _max_abs(map(sub, lhs, rhs)), tol)
+def _band_report(r: IrrepMatrices, name: str, lhs: Sequence[float], rhs: Sequence[float],
+                 against: Iterable[float], tol: float) -> VerificationReport:
+    """Report on the nonzero band of a relation, refusing entries beyond a double.
+
+    ``rhs`` holds the right side's values, ``against`` gives them entry by
+    entry.  A finite sum has finite terms, so only a sum that is not finite
+    is checked entry by entry (docs/derivations.md, section 3)."""
+    if not (math.isfinite(sum(lhs) + sum(rhs)) or all(map(math.isfinite, chain(lhs, rhs)))):
+        raise QNumberOverflowError(f"{name} has an entry beyond double precision at "
+                                   f"twice_j={r.j.twice_j}, s={r.d.s!r}")
+    return _verdict(name, _max_abs(lhs), _max_abs(rhs), _max_abs(map(sub, lhs, against)), tol)
 
 
 def _ladder_squares(u: Sequence[float], n: int) -> list[float]:
@@ -242,8 +241,8 @@ def _relation_bands(
     bracket [2 m_k] read from the irrep (docs/derivations.md, section 3).
     """
     n = r.dim if n is None else n
-    b, u = r.brackets, r.ladder[:n]
-    twice_ms = r.j.twice_m_values()[:n]
+    tj, b, u = r.j.twice_j, r.brackets, r.ladder[:n]
+    twice_ms = range(tj, tj - 2 * n, -2)
     doubled = [b[tm] if tm >= 0 else -b[-tm] for tm in twice_ms]
     m = [tm / 2.0 for tm in twice_ms]
     squares = _ladder_squares(u, n)
@@ -270,17 +269,18 @@ def verify_commutators(r: IrrepMatrices, tol: float) -> list[VerificationReport]
     """
     tol = _tolerance(tol)
     (raised, u), (closed, doubled) = _relation_bands(r, _read(r))
-    up = _band_report(r, "[Iz,I+] = +I+", raised, u, tol)
+    up = _band_report(r, "[Iz,I+] = +I+", raised, u, u, tol)
     return [
         up,
         VerificationReport("[Iz,I-] = -I-", up.max_abs_deviation, up.tolerance, up.passed),
-        _band_report(r, "[I+,I-] = [2Iz]", closed, doubled, tol),
+        _band_report(r, "[I+,I-] = [2Iz]", closed, doubled, doubled, tol),
     ]
 
 
-def _casimir_band(r: IrrepMatrices, n: int) -> tuple[list[float], list[float]]:
-    """The (lhs, rhs) diagonals of I- I+ + [Iz][Iz+1] = [j][j+1] Id on
-    the first n weights, m = j down to j - n + 1."""
+def _casimir_band(r: IrrepMatrices, n: int) -> tuple[list[float], float]:
+    """The diagonal of I- I+ + [Iz][Iz+1] on the first n weights, m = j
+    down to j - n + 1, and the one value [j][j+1] of its right side.  The
+    brackets [j+1], [j], ... are listed only up to the n + 1 it reads."""
     tj = r.j.twice_j
     # [j+1], [j], ..., down to [0] or [1/2].
     if tj % 2 == 0:
@@ -290,9 +290,9 @@ def _casimir_band(r: IrrepMatrices, n: int) -> tuple[list[float], list[float]]:
     else:
         nonnegative = [qnumber(t / 2.0, r.d) for t in range(tj + 2, 0, -2)]
     # [j+1], [j], ..., [-j]: below zero [-x] = -[x], for x from [1/2] or [1] up to [j].
-    brackets = [*nonnegative, *map(neg, nonnegative[tj % 2 - 2:0:-1])][:n + 1]
-    products = list(map(mul, brackets[1:], brackets))  # [m][m+1], first [j][j+1]
-    return list(map(add, _ladder_squares(r.ladder[:n], n), products)), [products[0]] * n
+    brackets = list(islice(chain(nonnegative, map(neg, nonnegative[tj % 2 - 2:0:-1])), n + 1))
+    products = map(mul, brackets[1:], brackets)  # [m][m+1], first [j][j+1]
+    return list(map(add, _ladder_squares(r.ladder[:n], n), products)), brackets[1] * brackets[0]
 
 
 def casimir_identity_report(r: IrrepMatrices, tol: float) -> VerificationReport:
@@ -300,20 +300,20 @@ def casimir_identity_report(r: IrrepMatrices, tol: float) -> VerificationReport:
 
     [Iz][Iz + 1] is the diagonal matrix with entries [m][m+1], and the
     telescoping identity [j+m+1][j-m] + [m][m+1] = [j][j+1] makes the
-    sum a multiple of the identity (docs/derivations.md, section 3).
-    Both sides are diagonal, u_k^2 + [m][m+1] on the left, so the check
-    runs on the diagonal alone with the bits of the dense product.
-    Integer brackets are read from the irrep.  At half-integer j the
-    brackets [j+1], ..., [1/2] are read from ``r.half_brackets`` when
-    the irrep carries them (:func:`build_irreps`), and otherwise
-    evaluated here, [j+1] first.  A mirrored ladder lets the weights down
-    to m = 0 (-1/2) decide the report.  Raises
-    :class:`QNumberOverflowError` if an entry is not finite, TypeError
-    for a bool (built-in or numpy) or text ``tol``, and ValueError for a
-    ``tol`` that is not finite and positive.
+    sum a multiple of the identity (docs/derivations.md, section 3), so
+    the check runs on the left diagonal, u_k^2 + [m][m+1], against the
+    one value [j][j+1], with the bits of the dense product.  Integer
+    brackets are read from the irrep; at half-integer j, [j+1], ...,
+    [1/2] are read from ``r.half_brackets`` when the irrep carries them
+    (:func:`build_irreps`) and otherwise evaluated here, [j+1] first.
+    A mirrored ladder lets the weights down to m = 0 (-1/2) decide the
+    report.  Raises :class:`QNumberOverflowError` if an entry is not
+    finite, TypeError for a bool (built-in or numpy) or text ``tol``,
+    and ValueError for a ``tol`` that is not finite and positive.
     """
     tol = _tolerance(tol)
-    return _band_report(r, "I-I+ + [Iz][Iz+1] = [j][j+1] Id", *_casimir_band(r, _read(r)), tol)
+    lhs, c = _casimir_band(r, _read(r))
+    return _band_report(r, "I-I+ + [Iz][Iz+1] = [j][j+1] Id", lhs, (c,), repeat(c), tol)
 
 
 def _kronecker_sum_max(c: Sequence[float], d: Sequence[float], sign: int) -> float:

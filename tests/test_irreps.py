@@ -393,15 +393,16 @@ class TestBandedParity:
             tj = r.j.twice_j
             assert bits(r.ladder) == bits(r.ladder[::-1]), (tj, list(map(float.hex, r.ladder)))
             (raised, u), (closed, doubled) = qhydrogen.irreps._relation_bands(r)
-            lhs, rhs = qhydrogen.irreps._casimir_band(r, r.dim)
+            lhs, eigenvalue = qhydrogen.irreps._casimir_band(r, r.dim)
             assert len(raised) == tj and len(closed) == len(lhs) == r.dim
             for band, mirror in [
                 (raised, 1.0), (u, 1.0), ([x - y for x, y in zip(raised, u)], 1.0),
                 (closed, -1.0), (doubled, -1.0), ([x - y for x, y in zip(closed, doubled)], -1.0),
-                (lhs[1:], 1.0), ([x - y for x, y in zip(lhs, rhs)][1:], 1.0),
+                (lhs[1:], 1.0), ([x - eigenvalue for x in lhs][1:], 1.0),
             ]:
                 assert bits(band) == bits(band[::-1], mirror), (tj, list(map(float.hex, band)))
-            assert rhs == [rhs[0]] * r.dim
+            # the right side is the one value [j][j+1], the left side's m = j entry
+            assert bits([eigenvalue]) == bits(lhs[:1])
 
     @pytest.mark.parametrize(
         "d",

@@ -4,7 +4,8 @@ The library stores an irrep as its ladder weights only; the dense
 oracles build the complex matrices explicitly and check relations with
 dense products.  The bracket and energy oracles evaluate [x], D, E,
 line energies and the deviation from -1/n^2 with mpmath at MP_DIGITS
-significant digits.
+significant digits.  The exact oracles give E and line energies at a
+double q as exact ratios of ints, with no digit budget.
 """
 
 import functools
@@ -151,3 +152,54 @@ def mp_deviation(twice_j, twice_m, s):
     """E + 1/n^2, the scan's deviation_ry, at MP_DIGITS digits."""
     with mpmath.workdps(MP_DIGITS):
         return mp_energy(twice_j, twice_m, s) + mpmath.mpf(1) / (twice_j + 1) ** 2
+
+
+@functools.lru_cache(maxsize=None)
+def exact_energy_ratio(twice_j, twice_m, q):
+    """E/Ry at the double q as an exact ratio (numerator, denominator) of ints.
+
+    Derivations section 5 gives, with n = 2j + 1,
+
+        D = 8[(q^n + q^-n) - (q + q^-1)(q^2m + q^-2m)/2]/(q - q^-1)^2 + 8m^2 + 2,
+
+    in which every power of q is an integer.  With q = a/b (b a power of
+    two) the bracket term is P/Q for the ints
+
+        P = 8 a^2 b^2 (2(a^2n + b^2n) - (a^2 + b^2)(a^2M + b^2M)(ab)^(n-M-1)),
+        Q = 2 (ab)^n (a^2 - b^2)^2,
+
+    M = |2m| <= n - 1, so E = -2/D = -2Q / (P + (2M^2 + 2) Q).  At q = 1
+    both vanish, and E = -1/n^2.  Cached: a line ledger reads each level
+    many times.
+    """
+    n, big_m = twice_j + 1, abs(twice_m)
+    a, b = float(q).as_integer_ratio()
+    if a == b:
+        return -1, n * n
+    x = 2 * (a ** (2 * n) + b ** (2 * n)) - (a * a + b * b) * (
+        a ** (2 * big_m) + b ** (2 * big_m)) * (a * b) ** (n - big_m - 1)
+    p_term = 8 * a * a * b * b * x
+    q_term = 2 * (a * b) ** n * (a * a - b * b) ** 2
+    return -2 * q_term, p_term + (2 * big_m * big_m + 2) * q_term
+
+
+def exact_energy(twice_j, twice_m, q):
+    """E/Ry at the double q, correctly rounded: one int/int true division."""
+    num, den = exact_energy_ratio(twice_j, twice_m, q)
+    return num / den
+
+
+def exact_delta_energy_ratio(upper, lower, q):
+    """E(upper) - E(lower) at the double q as an exact ratio of ints.
+
+    Each level is (twice_j, twice_m).
+    """
+    num_u, den_u = exact_energy_ratio(*upper, q)
+    num_l, den_l = exact_energy_ratio(*lower, q)
+    return num_u * den_l - num_l * den_u, den_u * den_l
+
+
+def exact_delta_energy(upper, lower, q):
+    """The line E(upper) - E(lower) at the double q, correctly rounded: one division."""
+    num, den = exact_delta_energy_ratio(upper, lower, q)
+    return num / den

@@ -1,6 +1,7 @@
 """Tests for the explicit matrix representations and their verification."""
 
 import contextlib
+import itertools
 import math
 import re
 import sys
@@ -24,6 +25,7 @@ from oracles import (
 from qhydrogen.cli import main
 from qhydrogen.irreps import (
     IrrepMatrices,
+    VerificationReport,
     build_irrep,
     build_irreps,
     casimir_identity_report,
@@ -463,6 +465,88 @@ class TestBandedParity:
             tj = r.j.twice_j
             half = [qnumber(t / 2.0, d) for t in range(1, tj + 3, 2)] if tj % 2 else None
             assert r.half_brackets == (None if half is None else tuple(half)), tj
+
+
+def entrywise_band_report(r, name, lhs, rhs, tol):
+    """The band report as made entry by entry before the summed finiteness test."""
+    if not (all(map(math.isfinite, lhs)) and all(map(math.isfinite, rhs))):
+        raise QNumberOverflowError(
+            f"{name} has an entry beyond double precision at twice_j={r.j.twice_j}, s={r.d.s!r}"
+        )
+    scale = max(1.0, *map(abs, lhs), *map(abs, rhs))
+    deviation = max(abs(x - y) for x, y in zip(lhs, rhs)) / scale
+    return VerificationReport(name, deviation, tol, deviation <= tol)
+
+
+class TestSummedFiniteness:
+    """``_band_report`` tests one sum for finiteness and falls back to its
+    entries only when that sum is not: the raise condition is unchanged
+    under both the plain sum (3.10, 3.11) and the compensated one (3.12+)."""
+
+    IRREP = build_irrep(SpinLabel(3), DeformationParameter(1.3))
+    BIG = 1.7976931348623157e308
+
+    def band_report(self, lhs, rhs):
+        return qhydrogen.irreps._band_report(self.IRREP, "band", lhs, rhs, rhs, 1e-11)
+
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [
+            ([1e308, 1e308], [0.0, 0.0]),
+            ([0.0, 0.0], [-1e308, -1e308]),
+            ([BIG, BIG, -BIG], [0.0, 0.0, 0.0]),
+            ([1e308, 1e308], [-1e308, -1e308]),  # inf + -inf: the sum is nan
+            ([BIG, 1e292, 2.0], [BIG, 1e292, 1.0]),
+            ([-BIG, -BIG, 5.0], [BIG, BIG, 5.0]),
+        ],
+    )
+    def test_finite_entries_whose_sum_overflows_report(self, lhs, rhs):
+        assert not math.isfinite(sum(lhs) + sum(rhs))
+        expected = entrywise_band_report(self.IRREP, "band", lhs, rhs, 1e-11)
+        assert self.band_report(lhs, rhs) == expected
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_one_entry_beyond_a_double_raises(self, bad, side, at):
+        lhs, rhs = [1.0, -2.0, 3.0, 1e300, -1e300], [1.0, -2.0, 3.0, 1e300, -1e300]
+        (lhs if side == "lhs" else rhs)[at] = bad
+        self.assert_raises_as_before(lhs, rhs)
+
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [
+            ([math.inf, -math.inf], [0.0, 0.0]),
+            ([0.0, 0.0], [-math.inf, math.inf]),
+            ([math.inf, 1.0], [math.inf, 1.0]),
+            ([math.inf, 0.0], [0.0, -math.inf]),
+            ([1e308, 1e308, math.nan], [0.0, 0.0, 0.0]),
+        ],
+    )
+    def test_pairs_of_infinities_raise(self, lhs, rhs):
+        self.assert_raises_as_before(lhs, rhs)
+
+    def assert_raises_as_before(self, lhs, rhs):
+        with pytest.raises(QNumberOverflowError) as reference:
+            entrywise_band_report(self.IRREP, "band", lhs, rhs, 1e-11)
+        with pytest.raises(QNumberOverflowError) as summed:
+            self.band_report(lhs, rhs)
+        assert str(summed.value) == str(reference.value)
+        assert str(summed.value) == (
+            f"band has an entry beyond double precision at twice_j=3, s={self.IRREP.d.s!r}"
+        )
+
+    def test_casimir_right_side_is_one_value(self):
+        # the report of the one value [j][j+1] fed by repeat equals the
+        # report of n copies of it, and an infinite one still raises
+        r = self.IRREP
+        lhs = [2.0, 3.5, -1.0]
+        banded = qhydrogen.irreps._band_report(r, "c", lhs, (2.5,), itertools.repeat(2.5), 1e-11)
+        assert banded == entrywise_band_report(r, "c", lhs, [2.5] * 3, 1e-11)
+        with pytest.raises(QNumberOverflowError, match="^c has an entry beyond"):
+            qhydrogen.irreps._band_report(
+                r, "c", lhs, (math.inf,), itertools.repeat(math.inf), 1e-11
+            )
 
 
 class TestCasimirStandard:

@@ -217,7 +217,7 @@ def _emit_table(columns: Sequence[str], rows: Sequence[tuple]) -> str:
         if c in _FRACTION_COLUMNS else list(_texts(col, "table"))
         for c, col in zip(columns, cols)
     ]
-    widths = [max(len(n), max(map(len, col), default=0)) for n, col in zip(names, rendered)]
+    widths = [max(len(n), max(map(len, col)) if col else 0) for n, col in zip(names, rendered)]
     out = ["  ".join(n.ljust(w) for n, w in zip(names, widths)).rstrip()]
     out.append("  ".join("-" * w for w in widths))
     # Every column but the last is padded to its width; rstrip then takes

@@ -35,8 +35,8 @@ freely across threads.
 from __future__ import annotations
 
 import math
-from itertools import chain, islice, repeat
-from operator import add, mul, neg, sub
+from itertools import chain, repeat
+from operator import add, mul, neg, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
 from .qnum import (
@@ -132,28 +132,32 @@ class VerificationReport(_Value):
         _set(self, "passed", passed)
 
 
-def _verdict(
-    name: str, lhs_max: float, rhs_max: float, residual_max: float, tol: float
-) -> VerificationReport:
+def _verdict(name: str, lhs_max: float, rhs_max: float, residual_max: float,
+             tol: float) -> VerificationReport:
     deviation = residual_max / max(1.0, lhs_max, rhs_max)
     return VerificationReport(name, deviation, tol, deviation <= tol)
 
 
-def _max_abs(values: Iterable[float]) -> float:
-    return max(map(abs, values), default=0.0)
+def _max_abs(values: Sequence[float]) -> float:
+    """The largest |x| in ``values``, 0.0 if there is none; a positional max()."""
+    return max(map(abs, values)) if values else 0.0
 
 
 def _band_report(r: IrrepMatrices, name: str, lhs: Sequence[float], rhs: Sequence[float],
                  against: Iterable[float], tol: float) -> VerificationReport:
     """Report on the nonzero band of a relation, refusing entries beyond a double.
 
-    ``rhs`` holds the right side's values, ``against`` gives them entry by
-    entry.  A finite sum has finite terms, so only a sum that is not finite
-    is checked entry by entry (docs/derivations.md, section 3)."""
+    ``rhs`` holds the right side's values (empty only if ``lhs`` is), ``against``
+    gives them entry by entry.  Only a sum that is not finite is checked entry by
+    entry.  An empty band reports zeros, and each maximum is a positional max()
+    (docs/derivations.md, section 3)."""
     if not (math.isfinite(sum(lhs) + sum(rhs)) or all(map(math.isfinite, chain(lhs, rhs)))):
         raise QNumberOverflowError(f"{name} has an entry beyond double precision at "
                                    f"twice_j={r.j.twice_j}, s={r.d.s!r}")
-    return _verdict(name, _max_abs(lhs), _max_abs(rhs), _max_abs(map(sub, lhs, against)), tol)
+    if not lhs:  # [Iz,I+] at j = 0
+        return VerificationReport(name, 0.0, tol, True)
+    return _verdict(name, max(map(abs, lhs)), max(map(abs, rhs)),
+                    max(map(abs, map(sub, lhs, against))), tol)
 
 
 def _ladder_squares(u: Sequence[float], n: int) -> list[float]:
@@ -167,19 +171,15 @@ def _read(r: IrrepMatrices) -> int:
     return (r.j.twice_j + 3) // 2 if r.ladder == r.ladder[::-1] else r.dim
 
 
-def _irrep(
-    j: SpinLabel,
-    d: DeformationParameter,
-    b: tuple[float, ...],
-    half_brackets: tuple[float, ...] | None = None,
-) -> IrrepMatrices:
+def _irrep(j: SpinLabel, d: DeformationParameter, b: tuple[float, ...],
+           half_brackets: tuple[float, ...] | None = None) -> IrrepMatrices:
     """The irrep whose ladder is built from b[k] = [k], k = 0..max(2j, 1)."""
     tj = j.twice_j
     # Column k = 1..2j holds |m>, row k-1 holds |m+1>: [j+m+1] = [2j+1-k].
     # [2j+1-k][k] is a commutative product, so the first half is mirrored.
     upper, lower = b[tj:tj // 2:-1], b[1:tj - tj // 2 + 1]
     radicands = list(map(mul, upper, lower))
-    assert min(radicands, default=0.0) >= 0.0, (
+    assert not radicands or min(radicands) >= 0.0, (
         f"negative ladder radicand {min(radicands)!r} at twice_j={tj}"
     )
     ladder = tuple(map(math.sqrt, radicands))
@@ -189,7 +189,7 @@ def _irrep(
             for u, x, y in zip(ladder, upper, lower)
         )
     ladder += ladder[:tj // 2][::-1]
-    return IrrepMatrices(j=j, d=d, ladder=ladder, brackets=b, half_brackets=half_brackets)
+    return IrrepMatrices(j, d, ladder, b, half_brackets)
 
 
 def build_irrep(j: SpinLabel, d: DeformationParameter) -> IrrepMatrices:
@@ -230,21 +230,20 @@ def build_irreps(j_max: SpinLabel, d: DeformationParameter) -> Iterator[IrrepMat
         yield _irrep(SpinLabel(tj), d, tuple(b), tuple(half) if tj % 2 else None)
 
 
-def _relation_bands(
-    r: IrrepMatrices, n: int | None = None
-) -> list[tuple[list[float], Sequence[float]]]:
-    """The (lhs, rhs) bands of [Iz, I+] = +I+ and of [I+, I-] = [2 Iz]
-    on the first n weights, m = j down to j - n + 1 (all by default).
+def _relation_bands(r: IrrepMatrices,
+                    n: int | None = None) -> list[tuple[list[float], Sequence[float]]]:
+    """The (lhs, rhs) bands of [Iz, I+] = +I+ and of [I+, I-] = [2 Iz] on the
+    first n weights, m = j down to j - n + 1: all by default, at least to m = 0 (-1/2).
 
-    [Iz, I+] lies on the superdiagonal, m_{k-1} u_k - u_k m_k against
-    u_k; [I+, I-] on the diagonal, u_{k+1}^2 - u_k^2 against the
-    bracket [2 m_k] read from the irrep (docs/derivations.md, section 3).
+    [Iz, I+] lies on the superdiagonal, m_{k-1} u_k - u_k m_k against u_k;
+    [I+, I-] on the diagonal, u_{k+1}^2 - u_k^2 against [2 m_k], sliced as
+    [2j], [2j-2], ... from the irrep's brackets and negated below m = 0
+    (docs/derivations.md, section 3).
     """
     n = r.dim if n is None else n
     tj, b, u = r.j.twice_j, r.brackets, r.ladder[:n]
-    twice_ms = range(tj, tj - 2 * n, -2)
-    doubled = [b[tm] if tm >= 0 else -b[-tm] for tm in twice_ms]
-    m = [tm / 2.0 for tm in twice_ms]
+    doubled = [*b[tj::-2], *map(neg, b[2 - tj % 2:2 * n - tj - 1:2])]
+    m = list(map(truediv, range(tj, tj - 2 * n, -2), repeat(2.0)))
     squares = _ladder_squares(u, n)
     raised = list(map(sub, map(mul, m, u), map(mul, u, m[1:])))
     closed = list(map(sub, squares[1:], squares))
@@ -278,19 +277,20 @@ def verify_commutators(r: IrrepMatrices, tol: float) -> list[VerificationReport]
 
 
 def _casimir_band(r: IrrepMatrices, n: int) -> tuple[list[float], float]:
-    """The diagonal of I- I+ + [Iz][Iz+1] on the first n weights, m = j
-    down to j - n + 1, and the one value [j][j+1] of its right side.  The
-    brackets [j+1], [j], ... are listed only up to the n + 1 it reads."""
+    """The diagonal of I- I+ + [Iz][Iz+1] on the first n weights, as in
+    :func:`_relation_bands`, and the one value [j][j+1] of its right side.
+    The brackets [j+1], [j], ... are sliced only up to the n + 1 it reads."""
     tj = r.j.twice_j
-    # [j+1], [j], ..., down to [0] or [1/2].
+    # [0], [1], ... or [1/2], [3/2], ..., up to [j+1] at least.
     if tj % 2 == 0:
-        nonnegative = r.brackets[tj // 2 + 1::-1]
+        ascending = r.brackets
     elif r.half_brackets is not None:
-        nonnegative = r.half_brackets[::-1]
+        ascending = r.half_brackets
     else:
-        nonnegative = [qnumber(t / 2.0, r.d) for t in range(tj + 2, 0, -2)]
-    # [j+1], [j], ..., [-j]: below zero [-x] = -[x], for x from [1/2] or [1] up to [j].
-    brackets = list(islice(chain(nonnegative, map(neg, nonnegative[tj % 2 - 2:0:-1])), n + 1))
+        ascending = [qnumber(t / 2.0, r.d) for t in range(tj + 2, 0, -2)][::-1]
+    # [j+1], [j], ..., then below zero [-x] = -[x] for x = [1] or [1/2] on.
+    brackets = [*ascending[tj // 2 + 1::-1],
+                *map(neg, ascending[1 - tj % 2:n - tj // 2 - tj % 2])]
     products = map(mul, brackets[1:], brackets)  # [m][m+1], first [j][j+1]
     return list(map(add, _ladder_squares(r.ladder[:n], n), products)), brackets[1] * brackets[0]
 

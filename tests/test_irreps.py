@@ -473,8 +473,8 @@ def entrywise_band_report(r, name, lhs, rhs, tol):
         raise QNumberOverflowError(
             f"{name} has an entry beyond double precision at twice_j={r.j.twice_j}, s={r.d.s!r}"
         )
-    scale = max(1.0, *map(abs, lhs), *map(abs, rhs))
-    deviation = max(abs(x - y) for x, y in zip(lhs, rhs)) / scale
+    scale = max([1.0, *map(abs, lhs), *map(abs, rhs)])
+    deviation = max([abs(x - y) for x, y in zip(lhs, rhs)], default=0.0) / scale
     return VerificationReport(name, deviation, tol, deviation <= tol)
 
 
@@ -547,6 +547,141 @@ class TestSummedFiniteness:
             qhydrogen.irreps._band_report(
                 r, "c", lhs, (math.inf,), itertools.repeat(math.inf), 1e-11
             )
+
+
+class TestBandMaxima:
+    """``_band_report`` takes each maximum with a positional max() and
+    reports zeros for an empty band: the reports of the entry-wise
+    reference, bit for bit."""
+
+    IRREP = TestSummedFiniteness.IRREP
+
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [
+            ([], []),
+            ([-0.0, 0.0, -0.0], [0.0, -0.0, -0.0]),  # residual entries -0.0 and 0.0
+            ([-0.0], [0.0]),
+            ([1e308, -1e308], [-1e308, 1e308]),  # finite sides, residual inf
+            ([1.7976931348623157e308, 0.5], [-1.0e300, 0.5]),
+            ([0.5, -0.25, 0.75], [0.5, -0.125, 0.25]),  # every |x| < 1: the scale is 1.0
+            ([-0.999, 1e-300], [0.001, -1e-300]),
+        ],
+    )
+    def test_reports_equal_the_entrywise_reference(self, lhs, rhs):
+        report = qhydrogen.irreps._band_report(self.IRREP, "band", lhs, rhs, rhs, 1e-11)
+        expected = entrywise_band_report(self.IRREP, "band", lhs, rhs, 1e-11)
+        assert report == expected
+        # == takes -0.0 for 0.0; float.hex tells them apart
+        assert float.hex(report.max_abs_deviation) == float.hex(expected.max_abs_deviation)
+
+    def test_an_empty_band_reports_zeros(self):
+        report = qhydrogen.irreps._band_report(self.IRREP, "band", [], [], [], 1e-11)
+        assert report == VerificationReport("band", 0.0, 1e-11, True)
+        assert math.copysign(1.0, report.max_abs_deviation) == 1.0
+
+    def test_a_signed_zero_residual_reports_positive_zero(self):
+        lhs, rhs = [-0.0, 0.0, -0.0], [0.0, -0.0, -0.0]
+        assert [math.copysign(1.0, x - y) for x, y in zip(lhs, rhs)] == [-1.0, 1.0, 1.0]
+        report = qhydrogen.irreps._band_report(self.IRREP, "band", lhs, rhs, rhs, 1e-11)
+        assert float.hex(report.max_abs_deviation) == "0x0.0p+0" and report.passed
+
+    def test_an_overflowing_residual_reports_inf(self):
+        lhs, rhs = [1e308, -1e308], [-1e308, 1e308]
+        report = qhydrogen.irreps._band_report(self.IRREP, "band", lhs, rhs, rhs, 1e-11)
+        assert report.max_abs_deviation == math.inf and not report.passed
+
+    def test_magnitudes_below_one_keep_the_scale_at_one(self):
+        lhs, rhs = [0.5, -0.25, 0.75], [0.5, -0.125, 0.25]
+        report = qhydrogen.irreps._band_report(self.IRREP, "band", lhs, rhs, rhs, 1e-11)
+        assert report.max_abs_deviation == 0.5 and not report.passed
+
+    def test_spin_zero_reports_zeros(self):
+        # [Iz,I+] and [Iz,I-] have no entries at j = 0
+        r = build_irrep(SpinLabel(0), DeformationParameter(1.3))
+        reports = verify_commutators(r, 1e-11)
+        assert [float.hex(rep.max_abs_deviation) for rep in reports[:2]] == ["0x0.0p+0"] * 2
+        assert reports == dense_verify_commutators(r, 1e-11)
+
+    @pytest.mark.parametrize("values", [[], [-0.0], [0.5, -3.0, 2.0], [-math.inf, 1.0]])
+    def test_max_abs_is_the_largest_magnitude(self, values):
+        found = qhydrogen.irreps._max_abs(values)
+        assert float.hex(found) == float.hex(max([abs(x) for x in values], default=0.0))
+
+
+def comprehension_relation_bands(r, n):
+    """``_relation_bands`` as written with comprehensions before the slices."""
+    tj, b, u = r.j.twice_j, r.brackets, r.ladder[:n]
+    twice_ms = range(tj, tj - 2 * n, -2)
+    doubled = [b[tm] if tm >= 0 else -b[-tm] for tm in twice_ms]
+    m = [tm / 2.0 for tm in twice_ms]
+    squares = [0.0, *(x * x for x in u), 0.0][:n + 1]
+    raised = [mk * uk - uk * ml for mk, uk, ml in zip(m, u, m[1:])]
+    closed = [y - x for x, y in zip(squares, squares[1:])]
+    return [(raised, u), (closed, doubled)]
+
+
+def chained_casimir_band(r, n):
+    """``_casimir_band`` as written with ``islice`` over ``chain`` before the slices."""
+    tj = r.j.twice_j
+    if tj % 2 == 0:
+        nonnegative = r.brackets[tj // 2 + 1::-1]
+    elif r.half_brackets is not None:
+        nonnegative = r.half_brackets[::-1]
+    else:
+        nonnegative = [qnumber(t / 2.0, r.d) for t in range(tj + 2, 0, -2)]
+    negated = (-x for x in nonnegative[tj % 2 - 2:0:-1])
+    brackets = list(itertools.islice(itertools.chain(nonnegative, negated), n + 1))
+    squares = [0.0, *(x * x for x in r.ladder[:n]), 0.0][:n + 1]
+    lhs = [t + x * y for t, x, y in zip(squares, brackets[1:], brackets)]
+    return lhs, brackets[1] * brackets[0]
+
+
+class TestBandSlices:
+    """The sliced [2m], weights and Casimir brackets give the bands of the
+    comprehension forms bit for bit, on both reads."""
+
+    @staticmethod
+    def hexes(bands):
+        return [[float.hex(x) for x in band] for band in bands]
+
+    def assert_bands_equal(self, r):
+        reads = {qhydrogen.irreps._read(r), r.dim}
+        assert r.dim in reads
+        for n in reads:
+            (raised, u), (closed, doubled) = qhydrogen.irreps._relation_bands(r, n)
+            (raised0, u0), (closed0, doubled0) = comprehension_relation_bands(r, n)
+            assert self.hexes([raised, u, closed, doubled]) == self.hexes(
+                [raised0, u0, closed0, doubled0]
+            ), (r.j.twice_j, n)
+            lhs, eigenvalue = qhydrogen.irreps._casimir_band(r, n)
+            lhs0, eigenvalue0 = chained_casimir_band(r, n)
+            assert self.hexes([lhs, [eigenvalue]]) == self.hexes([lhs0, [eigenvalue0]]), (
+                r.j.twice_j, n)
+
+    @pytest.mark.parametrize(
+        "d",
+        [*(DeformationParameter(q) for q in (0.7, 1.3, 2.0)), DeformationParameter.from_s(-0.4)],
+        ids=lambda d: f"s={d.s!r}",
+    )
+    def test_built_irreps_to_2j_41(self, d):
+        for r in build_irreps(SpinLabel(41), d):
+            # with the run's half-integer brackets, and alone without them
+            alone = build_irrep(r.j, d)
+            assert qhydrogen.irreps._read(r) == (r.j.twice_j + 3) // 2
+            self.assert_bands_equal(r)
+            self.assert_bands_equal(alone)
+        # n defaults to every weight
+        bands = qhydrogen.irreps._relation_bands
+        assert self.hexes(bands(r)[1]) == self.hexes(bands(r, r.dim)[1])
+
+    @pytest.mark.parametrize("tj", [2, 3, 9, 10, 41])
+    def test_a_skewed_ladder(self, tj):
+        r = build_irrep(SpinLabel(tj), DeformationParameter(1.3))
+        ladder = tuple(u * (1.0 + 0.01 * k) for k, u in enumerate(r.ladder))
+        skewed = IrrepMatrices(r.j, r.d, ladder, r.brackets)
+        assert ladder != ladder[::-1] and qhydrogen.irreps._read(skewed) == r.dim
+        self.assert_bands_equal(skewed)
 
 
 class TestCasimirStandard:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, repeat
-from operator import add, mul, neg, sub, truediv
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence
 
 from .qnum import (
@@ -243,7 +243,7 @@ def _relation_bands(r: IrrepMatrices,
     n = r.dim if n is None else n
     tj, b, u = r.j.twice_j, r.brackets, r.ladder[:n]
     doubled = [*b[tj::-2], *map(neg, b[2 - tj % 2:2 * n - tj - 1:2])]
-    m = list(map(truediv, range(tj, tj - 2 * n, -2), repeat(2.0)))
+    m = [tm / 2.0 for tm in range(tj, tj - 2 * n, -2)]
     squares = _ladder_squares(u, n)
     raised = list(map(sub, map(mul, m, u), map(mul, u, m[1:])))
     closed = list(map(sub, squares[1:], squares))

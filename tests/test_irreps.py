@@ -624,9 +624,7 @@ class TestBandSlices:
         return [[float.hex(x) for x in band] for band in bands]
 
     def assert_bands_equal(self, r):
-        reads = {qhydrogen.irreps._read(r), r.dim}
-        assert r.dim in reads
-        for n in reads:
+        for n in {qhydrogen.irreps._read(r), r.dim}:
             (raised, u), (closed, doubled) = qhydrogen.irreps._relation_bands(r, n)
             (raised0, u0), (closed0, doubled0) = comprehension_relation_bands(r, n)
             assert self.hexes([raised, u, closed, doubled]) == self.hexes(

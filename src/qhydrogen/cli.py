@@ -9,12 +9,17 @@ Output is byte-deterministic for a fixed invocation: floats are printed
 with 15 significant digits and a lowercase exponent, column orders are
 fixed, and rows are emitted in the documented sort orders.  Data goes
 to stdout (or --output); diagnostics go to stderr.  Exit status is 0 on
-success, 1 on a validation error (printed as "Error: <message>") and 2
+success, 1 on a refused invocation (printed as "Error: <message>") and 2
 on a computational error (printed as "error: <message>"), including a
-failed `verify` run, so it can gate CI.  A stdout closed by its reader
-ends the command quietly with status 1; any other failed write to
-stdout prints "Error: Could not write to stdout: <reason>" and exits 1,
-and a failed --output write "Error: Could not write file ...".
+failed `verify` run, so it can gate CI.  Each rule on a value, such as
+q > 0 or a finite s or tolerance, is the library's, and a ValueError
+from it is a refused invocation; `scan` and `verify` apply the
+library's checks to their values before the size check.  This module's
+own checks are on what the library never sees: the flags, the sizes
+and the --s-min/--s-max range.  A stdout closed by its reader ends
+the command quietly with status 1; any other failed write to stdout
+prints "Error: Could not write to stdout: <reason>" and exits 1, and a
+failed --output write "Error: Could not write file ...".
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .irreps import build_irrep, build_irreps, casimir_identity_report, verify_commutators
 from .lines import ScanRow, series_table, splitting_scan
-from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel
+from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, _finite, _tolerance
 from .spectrum import (
     RYDBERG_EV,
     RYDBERG_PER_CM,
@@ -86,8 +91,8 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return points
 
 
-class UsageError(Exception):
-    """A refused invocation: `main` prints "Error: <message>" and returns 1."""
+class UsageError(ValueError):
+    """A refused invocation by a rule the library does not own; `main` returns 1."""
 
 
 class VerificationFailedError(Exception):
@@ -292,12 +297,9 @@ def _check_size(size: int, unit: str, what: str) -> None:
 def _resolve_deformation(q: float | None, s: float | None) -> DeformationParameter:
     if q is not None and s is not None:
         raise UsageError("--q and --s are mutually exclusive")
-    try:
-        if s is not None:
-            return DeformationParameter.from_s(s)
-        return DeformationParameter(1.0 if q is None else q)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
+    if s is not None:
+        return DeformationParameter.from_s(s)
+    return DeformationParameter(1.0 if q is None else q)
 
 
 def levels(q, s, twice_j_max, mode, units, fmt, output) -> None:
@@ -329,11 +331,7 @@ def lines(q, s, twice_j_max, lower_twice_j, lower_twice_abs_m, units, fmt, outpu
     _check_size(_level_rows(twice_j_max, "deformed"), "level rows", f"'--j-max': {twice_j_max}")
     d = _resolve_deformation(q, s)
     unit, factor = _UNIT_FLAGS[units]
-    try:
-        table = series_table(SpinLabel(lower_twice_j), lower_twice_abs_m,
-                             SpinLabel(twice_j_max), d)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    table = series_table(SpinLabel(lower_twice_j), lower_twice_abs_m, SpinLabel(twice_j_max), d)
     columns = ["upper_twice_j", "upper_twice_abs_m", "lower_twice_j", "lower_twice_abs_m",
                "delta_energy", "unit", "wavenumber_per_cm", "wavelength_nm"]
     rows = [
@@ -362,14 +360,12 @@ def scan(twice_j, s_values_text, s_min, s_max, s_count, fmt, output) -> None:
         if not s_values:
             raise UsageError("--s-values contained no values")
         for value in s_values:
-            if not math.isfinite(value):
-                raise UsageError(f"--s-values must be finite, got {value!r}")
+            _finite(value, "--s-values")
         s_count = len(s_values)
         count = f"'--j' and '--s-values': {twice_j} and {s_count} values"
     else:
-        for name, value in (("--s-min", s_min), ("--s-max", s_max)):
-            if not math.isfinite(value):
-                raise UsageError(f"{name} must be finite, got {value!r}")
+        _finite(s_min, "--s-min")
+        _finite(s_max, "--s-max")
         if not math.isfinite(s_max - s_min):
             # The grid would hold inf - inf and 0 * inf points (nan).
             raise UsageError(f"--s-min {s_min!r} and --s-max {s_max!r} are too far "
@@ -391,9 +387,7 @@ def verify(q, s, twice_j_max, tolerance, fmt, output) -> None:
     Exits with status 2 if any relation exceeds the tolerance, so this
     command can gate CI.
     """
-    if not (tolerance > 0.0 and math.isfinite(tolerance)):
-        # An infinite tolerance would pass every relation.
-        raise UsageError(f"--tolerance must be finite and positive, got {tolerance!r}")
+    _tolerance(tolerance, "--tolerance")
     _check_size(_ladder_entries(twice_j_max), "ladder entries", f"'--j-max': {twice_j_max}")
     d = _resolve_deformation(q, s)
     columns = ["twice_j", "q", "relation", "max_deviation", "tolerance", "passed"]
@@ -677,7 +671,8 @@ def main(argv: list[str] | None = None) -> int:
         if not isinstance(exc, BrokenPipeError):
             print(f"Error: Could not write to stdout: {exc.strerror}", file=sys.stderr)
         return 1
-    except UsageError as exc:
+    except ValueError as exc:
+        # A UsageError, or a library refusal of an option's value.
         print(f"Error: {exc}", file=sys.stderr)
         return 1
     except (NonPositiveDenominatorError, QNumberOverflowError, VerificationFailedError) as exc:

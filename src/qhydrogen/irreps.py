@@ -266,7 +266,7 @@ def verify_commutators(r: IrrepMatrices, tol: float) -> list[VerificationReport]
     finite, TypeError for a bool (built-in or numpy) or text ``tol``, and
     ValueError for a ``tol`` that is not finite and positive.
     """
-    tol = _tolerance(tol)
+    tol = _tolerance(tol, "tol")
     (raised, u), (closed, doubled) = _relation_bands(r, _read(r))
     up = _band_report(r, "[Iz,I+] = +I+", raised, u, u, tol)
     return [
@@ -311,7 +311,7 @@ def casimir_identity_report(r: IrrepMatrices, tol: float) -> VerificationReport:
     finite, TypeError for a bool (built-in or numpy) or text ``tol``,
     and ValueError for a ``tol`` that is not finite and positive.
     """
-    tol = _tolerance(tol)
+    tol = _tolerance(tol, "tol")
     lhs, c = _casimir_band(r, _read(r))
     return _band_report(r, "I-I+ + [Iz][Iz+1] = [j][j+1] Id", lhs, (c,), repeat(c), tol)
 
@@ -352,7 +352,7 @@ def verify_so4_limit(j1: SpinLabel, j2: SpinLabel, tol: float) -> list[Verificat
     text ``tol`` raises TypeError, and one that is not finite and
     positive ValueError.
     """
-    tol = _tolerance(tol)
+    tol = _tolerance(tol, "tol")
     undeformed = DeformationParameter(1.0)
     first, second = (
         [(lhs, rhs, list(map(sub, lhs, rhs)))

@@ -14,7 +14,7 @@ import math
 from functools import partial
 from typing import NamedTuple, Sequence
 
-from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, _real
+from .qnum import DeformationParameter, QNumberOverflowError, SpinLabel, _finite
 from .spectrum import (
     RYDBERG_PER_CM,
     _check_weight,
@@ -208,9 +208,7 @@ def splitting_scan(j: SpinLabel, s_values: list[float]) -> list[ScanRow]:
     rows: list[ScanRow] = []
     append = rows.append
     for s in s_values:
-        s = _real(s, "s")
-        if not math.isfinite(s):
-            raise ValueError(f"s values must be finite, got {s!r}")
+        s = _finite(s, "s")
         q = None
         try:
             d = DeformationParameter.from_s(s)

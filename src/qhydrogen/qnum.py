@@ -50,15 +50,23 @@ def _real(value: float, name: str) -> float:
     return float(value)
 
 
-def _tolerance(value: float) -> float:
-    """``_real(value, "tol")``, refusing a tolerance that is not finite and positive.
+def _finite(value: float, name: str) -> float:
+    """``_real(value, name)``, refusing a value that is not finite."""
+    value = _real(value, name)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _tolerance(value: float, name: str) -> float:
+    """``_real(value, name)``, refusing a tolerance that is not finite and positive.
 
     An infinite tolerance would pass every relation, and a nan, zero or
     negative one would fail every relation.
     """
-    tol = _real(value, "tol")
+    tol = _real(value, name)
     if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+        raise ValueError(f"{name} must be finite and positive, got {tol!r}")
     return tol
 
 
@@ -66,7 +74,7 @@ class _Value:
     """Base of the package's immutable value types.
 
     A subclass lists its fields in ``__slots__``, in repr order, and
-    sets them in its own ``__init__`` through ``_set``.  The field tuple
+    sets them through ``_set`` in its constructors.  The field tuple
     of ``__getstate__`` serves repr, equality, hashing, copy and pickle:
     two values are equal when they are of one class with equal field
     tuples (so a NaN field is equal to itself), and a value hashes as
@@ -146,16 +154,16 @@ class DeformationParameter(_Value):
 
         A bool, built-in or numpy, or text s raises TypeError.
         """
-        s = _real(s, "s")
-        if not math.isfinite(s):
-            raise ValueError(f"s must be finite, got {s!r}")
+        s = _finite(s, "s")
         try:
             q = math.exp(s)
         except OverflowError:
             raise ValueError(f"s = {s!r} puts q = e^s outside the floating range") from None
         if q == 0.0:
             raise ValueError(f"s = {s!r} puts q = e^s outside the floating range")
-        d = cls(q)
+        # A q that __init__ would take: finite and, from here, positive.
+        d = cls.__new__(cls)
+        _set(d, "q", q)
         _set(d, "s", s)
         return d
 
@@ -215,9 +223,7 @@ def qnumber(x: float, d: DeformationParameter) -> float:
     double representation, rather than returning infinity, and
     TypeError for a bool, built-in or numpy, or text x.
     """
-    x = _real(x, "x")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
+    x = _finite(x, "x")
     if x < 0.0:
         return -qnumber(-x, d)
     return _qnumbers((x,), d)[0]

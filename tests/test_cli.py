@@ -622,6 +622,78 @@ _FLAGS = {
 }
 
 
+class TestLibraryRefusals:
+    """A value the library refuses with ValueError is a refused invocation: exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["verify", "--tolerance", "inf"], "--tolerance must be finite and positive, got inf"),
+            (["verify", "--tolerance", "nan"], "--tolerance must be finite and positive, got nan"),
+            (["verify", "--tolerance", "0"], "--tolerance must be finite and positive, got 0.0"),
+            (["verify", "--tolerance", "-1"],
+             "--tolerance must be finite and positive, got -1.0"),
+            (["scan", "--j", "1", "--s-values", "nan"], "--s-values must be finite, got nan"),
+            (["scan", "--j", "1", "--s-values", "inf,0.1"], "--s-values must be finite, got inf"),
+            (["scan", "--j", "1", "--s-values", "0.1,-inf"],
+             "--s-values must be finite, got -inf"),
+            (["scan", "--j", "1", "--s-min", "nan"], "--s-min must be finite, got nan"),
+            (["scan", "--j", "1", "--s-max", "inf"], "--s-max must be finite, got inf"),
+            (["levels", "--q", "-1"], "q must be a finite positive real, got -1.0"),
+            (["lines", "--q", "-1"], "q must be a finite positive real, got -1.0"),
+            (["dump-irrep", "--j", "1", "--operator", "iz", "--q", "0"],
+             "q must be a finite positive real, got 0.0"),
+            (["levels", "--s", "800"], "s = 800.0 puts q = e^s outside the floating range"),
+            (["verify", "--s", "800"], "s = 800.0 puts q = e^s outside the floating range"),
+            (["levels", "--s", "-inf"], "s must be finite, got -inf"),
+            (["levels", "--q", "2", "--s", "0.5"], "--q and --s are mutually exclusive"),
+            (["lines", "--lower-j", "4", "--j-max", "2"],
+             "j_max (twice_j=2) must be >= lower level spin (twice_j=4)"),
+            (["lines", "--lower-j", "2", "--lower-m", "1"],
+             "twice_m=1 is not a valid weight for twice_j=2"),
+            (["lines", "--lower-j", "3", "--lower-m", "5"],
+             "twice_m=5 is not a valid weight for twice_j=3"),
+        ],
+        ids=["tolerance-inf", "tolerance-nan", "tolerance-zero", "tolerance-negative",
+             "s-values-nan", "s-values-inf", "s-values-minus-inf", "s-min-nan", "s-max-inf",
+             "levels-q-negative", "lines-q-negative", "dump-irrep-q-zero", "levels-s-800",
+             "verify-s-800", "levels-s-minus-inf", "q-with-s", "lower-above-j-max",
+             "lower-m-parity", "lower-m-above-j"],
+    )
+    def test_whole_line(self, capsys, argv, line):
+        assert run_cli(capsys, *argv) == (1, "", f"Error: {line}\n")
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["verify", "--tolerance", "inf", "--j-max", "5000"],
+             "--tolerance must be finite and positive, got inf"),
+            (["scan", "--j", "4000000", "--s-values", "inf"], "--s-values must be finite, got inf"),
+            (["scan", "--j", "4000000", "--s-min", "nan"], "--s-min must be finite, got nan"),
+        ],
+        ids=["tolerance", "s-values", "s-min"],
+    )
+    def test_rule_comes_before_the_size(self, capsys, argv, line):
+        # Each of these is also above the size ceiling; the value's own rule is named.
+        assert run_cli(capsys, *argv) == (1, "", f"Error: {line}\n")
+
+    def test_any_value_error_is_refused(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise ValueError("refused")
+
+        monkeypatch.setattr("qhydrogen.cli.level_table", refuse)
+        assert run_cli(capsys, "levels") == (1, "", "Error: refused\n")
+
+    def test_type_error_is_not_mapped(self, capsys, monkeypatch):
+        # A TypeError is a defect of the program, not of the invocation.
+        def defect(*args):
+            raise TypeError("defect")
+
+        monkeypatch.setattr("qhydrogen.cli.level_table", defect)
+        with pytest.raises(TypeError, match="^defect$"):
+            main(["levels"])
+
+
 class TestParser:
     """How argv becomes a command call, whatever parses it."""
 

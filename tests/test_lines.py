@@ -306,8 +306,10 @@ class TestSplittingScan:
             math.exp(709.5), -1.0, 0.0, "")
 
     def test_non_finite_s_rejected(self):
-        with pytest.raises(ValueError):
-            splitting_scan(SpinLabel(2), [math.nan])
+        for bad in (math.nan, math.inf, -math.inf):
+            message = re.escape(f"s must be finite, got {bad!r}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                splitting_scan(SpinLabel(2), [0.1, bad])
 
     def test_deviation_equals_energy_difference(self):
         # Every row matches a scalar energy() evaluation bit for bit, flags

@@ -115,6 +115,16 @@ def test_from_s_round_trip_keeps_the_given_s():
     assert math.log(twin.q) != twin.s
 
 
+@pytest.mark.parametrize("s", [0.0, -0.0, 5e-324, 709.78, -745.1])
+def test_from_s_stores_e_to_the_s_and_the_given_s(s):
+    # From the smallest subnormal q = e^-745.1 to q near the largest double.
+    d = DeformationParameter.from_s(s)
+    assert _same_bits(d.q, math.exp(s)) and _same_bits(d.s, s)
+    assert d == DeformationParameter.from_s(s)
+    for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert _same_bits(twin, d) and twin == d and hash(twin) == hash(d)
+
+
 @VALUES
 def test_assignment_and_deletion_raise(value):
     before = copy.deepcopy(value)

@@ -414,20 +414,18 @@ def dump_irrep(q, s, twice_j, operator, output) -> None:
     _check_size((twice_j + 1) ** 2, "matrix entries", f"'--j': {twice_j}")
     d = _resolve_deformation(q, s)
     r = build_irrep(SpinLabel(twice_j), d)
-    # The nonzeros by (row, column): Iz's weights, or the ladder above
-    # (I+) or below (I-) the diagonal.  I- = (I+)^dagger, so each of its
-    # entries has imaginary part -0, the conjugate of +0.
-    if operator == "iz":
-        nonzeros = {(k, k): tm / 2.0 for k, tm in enumerate(r.j.twice_m_values())}
-    elif operator == "iplus":
-        nonzeros = {(k - 1, k): u for k, u in enumerate(r.ladder, 1)}
-    else:
-        nonzeros = {(k, k - 1): u for k, u in enumerate(r.ladder, 1)}
+    # Each generator is nonzero on one diagonal, which steps dim + 1
+    # entries row-major: Iz's weights from entry 0, the ladder above it
+    # (I+) from entry 1 or below it (I-) from entry dim.  I- = (I+)^dagger,
+    # so each of its entries has imaginary part -0, the conjugate of +0.
     imag = "-0" if operator == "iminus" else "0"
-    entries = ", ".join(
-        f"[{nonzeros.get((row, col), 0.0):.15g}, {imag}]"
-        for row in range(r.dim) for col in range(r.dim)
-    )
+    if operator == "iz":
+        start, values = 0, [tm / 2.0 for tm in r.j.twice_m_values()]
+    else:
+        start, values = (1 if operator == "iplus" else r.dim), r.ladder
+    cells = [f"[0, {imag}]"] * (r.dim * r.dim)
+    cells[start::r.dim + 1] = [f"[{v:.15g}, {imag}]" for v in values]
+    entries = ", ".join(cells)
     document = (
         "{"
         f'"j_times_2": {twice_j}, '

@@ -415,6 +415,68 @@ class TestDumpIrrep:
         diagonal = [doc["entries"][k * 4 + k][0] for k in range(4)]
         assert diagonal == [1.5, 0.5, -0.5, -1.5]
 
+    @pytest.mark.parametrize("operator", ["iz", "iplus", "iminus"])
+    @pytest.mark.parametrize(
+        "deformation",
+        [("--q", "0.5"), ("--q", "1"), ("--q", "1.5"), ("--q", "7"), ("--s", "-0.0"), ("--s", "300")],
+        ids=["q0.5", "q1", "q1.5", "q7", "s-0", "s300"],
+    )
+    def test_entries_match_the_per_cell_scan(self, capsys, operator, deformation):
+        # Every spin where the ladder is finite prints the per-cell
+        # scan's bytes; where a bracket overflows, the command fails
+        # with status 2 and prints nothing
+        flag, value = deformation
+        x = float(value)
+        d = DeformationParameter.from_s(x) if flag == "--s" else DeformationParameter(x)
+        for twice_j in [*range(41), 201]:
+            code, out, err = run_cli(capsys, "dump-irrep", "--j", str(twice_j), flag, value,
+                                     "--operator", operator)
+            try:
+                r = build_irrep(SpinLabel(twice_j), d)
+            except QNumberOverflowError:
+                assert (code, out) == (2, "") and err.startswith("error: ")
+                continue
+            assert (code, err) == (0, "")
+            assert _dump_entries(out) == _oracle_dump_entries(r, operator), twice_j
+
+    @pytest.mark.parametrize("operator, start", [("iz", 0), ("iplus", 1), ("iminus", 1414)])
+    def test_the_ceiling_has_one_nonzero_diagonal(self, capsys, operator, start):
+        # 2j = 1413, the largest spin under the size limit: 1414^2 cells,
+        # nonzero exactly on the operator's diagonal (Iz has no m = 0 at
+        # half-integer j)
+        code, out, err = run_cli(capsys, "dump-irrep", "--j", "1413", "--q", "1.001",
+                                 "--operator", operator)
+        assert (code, err) == (0, "")
+        dim = 1414
+        cells = _dump_entries(out)[2:-2].split("], [")
+        assert len(cells) == dim * dim
+        imag = "-0" if operator == "iminus" else "0"
+        assert all(cell.endswith(", " + imag) for cell in cells)
+        nonzero = [k for k, cell in enumerate(cells) if cell != "0, " + imag]
+        assert nonzero == list(range(start, dim * dim, dim + 1))
+
+
+def _dump_entries(document: str) -> str:
+    """The text of a dump-irrep document's entries list, brackets included."""
+    _, sep, entries = document.partition('"entries": ')
+    assert sep and entries.endswith("}\n")
+    return entries[:-2]
+
+
+def _oracle_dump_entries(r, operator: str) -> str:
+    """The entries list as a lookup of every (row, column) cell among the nonzeros."""
+    if operator == "iz":
+        nonzeros = {(k, k): tm / 2.0 for k, tm in enumerate(r.j.twice_m_values())}
+    elif operator == "iplus":
+        nonzeros = {(k - 1, k): u for k, u in enumerate(r.ladder, 1)}
+    else:
+        nonzeros = {(k, k - 1): u for k, u in enumerate(r.ladder, 1)}
+    imag = "-0" if operator == "iminus" else "0"
+    return "[" + ", ".join(
+        f"[{nonzeros.get((row, col), 0.0):.15g}, {imag}]"
+        for row in range(r.dim) for col in range(r.dim)
+    ) + "]"
+
 
 class TestExitCodes:
     def test_success_is_zero(self, capsys):

@@ -31,7 +31,7 @@ import os
 import re
 import sys
 from itertools import chain, compress, repeat
-from operator import is_not, ne, sub
+from operator import attrgetter, is_not, ne, sub
 from typing import Any, Callable, Iterable, Sequence
 
 from .irreps import build_irrep, build_irreps, casimir_identity_report, verify_commutators
@@ -110,26 +110,28 @@ def _json_value(value: str | int | float) -> str:
     return f"{value:.15g}" if isinstance(value, float) else str(value)
 
 
-# `_render` takes the documents of the five table commands: 3-8 columns,
-# each all int, all str, all bool, or float with None; twice-integer
-# columns all int; config values str, int or float.  TestRenderContract
-# in tests/test_cli.py holds every command to this.  A cell's text is
+# `_render` takes the documents of the five table commands as columns,
+# one sequence per column: 3-8 columns of one length, each all int, all
+# str, all bool, or float with None; twice-integer columns all int;
+# config values str, int or float.  TestRenderContract in
+# tests/test_cli.py holds every command to this.  A cell's text is
 # "%.15g" for a float, "" for None (null in JSON), "false" or "true" for
 # a bool, and an int or a string as itself, a string quoted as
-# csv.writer or the JSON escape quotes it.  Rows are built a column at a
-# time, which skips a per-cell type dispatch: `_texts` gives each cell's
-# text for one column, and each row is one str.join of its cells' texts
-# (a `%` row template costs about three times as much per row, even with
-# every slot a string).  An int, bool or str column formats each
+# csv.writer or the JSON escape quotes it.  Cells are formatted a column
+# at a time, which skips a per-cell type dispatch: `_texts` gives each
+# cell's text for one column.  An int, bool or str column formats each
 # distinct value once, through a dict.  A float/None column is cut into
 # runs of equal adjacent cells: sorted tables repeat most of their
 # energies (at large j the |m| splitting falls below a double's spacing)
 # and a scan repeats s and q on every |m| row, so where runs average two
-# cells or more each run is formatted once and its text repeated.  JSON
-# folds each '"key": ' into its column's texts.  CSV and JSON build
-# _CHUNK_ROWS rows at a time, which keeps the transposed columns of a
-# long table from sitting in memory at once; the table takes each
-# column whole, for its width, and pads each distinct text once.
+# cells or more each run is formatted once and its text repeated.  CSV
+# and JSON fold every separator into the cell texts as the column's
+# lead: "\n" or "," in CSV, and in JSON '},\n    {"key": ' on a row's
+# first cell and ', "key": ' on the others, so each chunk of
+# _CHUNK_ROWS rows is one join of its cells, slice-assigned column by
+# column into one list, and no row is ever a string of its own.  The
+# chunk bounds only the text lists and that cell list.  The table takes
+# each column whole, for its width, and pads each distinct text once.
 _CHUNK_ROWS = 2048
 
 # Characters that can make csv.writer quote a field; a string without
@@ -151,7 +153,7 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _texts(values: tuple, fmt: str, prefix: str = "") -> Iterable[str]:
+def _texts(values: Sequence, fmt: str, prefix: str = "") -> Iterable[str]:
     """The text of each cell of one column in ``fmt``, led by ``prefix``."""
     if not values or values[0] is None or type(values[0]) is float:
         none = prefix + ("null" if fmt == "json" else "")
@@ -176,69 +178,70 @@ def _texts(values: tuple, fmt: str, prefix: str = "") -> Iterable[str]:
     return map(text.__getitem__, values)
 
 
-def _row_lines(fmt: str, prefixes: Sequence[str], rows: Sequence[tuple]) -> list[str]:
-    """Each row's text, its cells joined on "," (CSV) or ", " (JSON)."""
-    join = ("," if fmt == "csv" else ", ").join
-    lines: list[str] = []
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        cols = zip(*rows[start:start + _CHUNK_ROWS])
-        # A list: `*`-unpacking a map here left one tuple per chunk on the
-        # interpreter's free list, allocated among the row strings, which
-        # then kept freed rows resident (bulk-tables peak RSS +4 MiB).
-        texts = [_texts(col, fmt, prefix) for col, prefix in zip(cols, prefixes)]
-        lines.extend(map(join, zip(*texts)))
-    return lines
+def _chunks(fmt: str, leads: Sequence[str], cols: Sequence[Sequence], first: str) -> list[str]:
+    """The cells of each _CHUNK_ROWS rows as one string, each led by its column's lead.
+
+    ``first`` takes the place of the first cell's lead, so the first
+    chunk also holds what comes before the document's first value.
+    """
+    width = len(cols)
+    n_rows = len(cols[0])
+    chunks = []
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n_rows)
+        cells = [""] * ((stop - start) * width)
+        for k, (col, lead) in enumerate(zip(cols, leads)):
+            cells[k::width] = _texts(col[start:stop], fmt, lead)
+        if not start:
+            cells[0] = first + cells[0][len(leads[0]):]
+        chunks.append("".join(cells))
+    return chunks
 
 
-def _emit_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
-    lines = _row_lines("csv", [""] * len(columns), rows)
-    lines.insert(0, ",".join(map(_csv_field, columns)))
-    lines.append("")
-    return "\n".join(lines)
+def _emit_csv(columns: Sequence[str], cols: Sequence[Sequence]) -> str:
+    header = ",".join(map(_csv_field, columns))
+    leads = ["\n", *[","] * (len(columns) - 1)]
+    return "".join([header, *_chunks("csv", leads, cols, "\n"), "\n"])
 
 
-def _emit_json(config: dict[str, Any], columns: Sequence[str], rows: Sequence[tuple]) -> str:
+def _emit_json(config: dict[str, Any], columns: Sequence[str], cols: Sequence[Sequence]) -> str:
     config_body = ", ".join(f'"{k}": {_json_value(v)}' for k, v in config.items())
     head = "{\n" f'  "config": {{{config_body}}},\n' '  "rows": [\n'
     tail = "\n  ]\n}\n"
-    if not rows:
+    if not cols[0]:
         return head + tail
     keys = [f'"{c}": ' for c in columns]
-    keys[0] = "    {" + keys[0]
-    # Gluing head and tail onto the end lines lets one join build the
-    # document instead of copying the joined rows twice more.
-    lines = _row_lines("json", keys, rows)
-    lines[0] = head + lines[0]
-    lines[-1] += "}" + tail
-    return "},\n".join(lines)
+    leads = ["},\n    {" + keys[0], *[", " + key for key in keys[1:]]]
+    return "".join([*_chunks("json", leads, cols, head + "    {" + keys[0]), "}" + tail])
 
 
-def _emit_table(columns: Sequence[str], rows: Sequence[tuple]) -> str:
+def _emit_table(columns: Sequence[str], cols: Sequence[Sequence]) -> str:
     names = [_FRACTION_COLUMNS.get(c, c) for c in columns]
-    cols = zip(*rows) if rows else [()] * len(columns)
     rendered = [
         # Twice-integers as halves: 3 becomes "3/2".
         list(map({v: _half(v) for v in set(col)}.__getitem__, col))
         if c in _FRACTION_COLUMNS else list(_texts(col, "table"))
         for c, col in zip(columns, cols)
     ]
-    widths = [max(len(n), max(map(len, col)) if col else 0) for n, col in zip(names, rendered)]
+    distinct = [set(col) for col in rendered]
+    widths = [max(len(n), max(map(len, texts), default=0)) for n, texts in zip(names, distinct)]
     out = ["  ".join(n.ljust(w) for n, w in zip(names, widths)).rstrip()]
     out.append("  ".join("-" * w for w in widths))
     # Every column but the last is padded to its width; rstrip then takes
     # off what padding would have ended the row.
-    padded = [map({t: t.ljust(w) for t in set(col)}.__getitem__, col)
-              for col, w in zip(rendered[:-1], widths)]
+    padded = [map({t: t.ljust(w) for t in texts}.__getitem__, col)
+              for col, texts, w in zip(rendered[:-1], distinct, widths)]
     out.extend(map(str.rstrip, map("  ".join, zip(*padded, rendered[-1]))))
     return "\n".join(out) + "\n"
 
 
-def _render(fmt: str, config: dict[str, Any], columns: Sequence[str], rows: Sequence[tuple]) -> str:
+def _render(fmt: str, config: dict[str, Any], columns: Sequence[str],
+            cols: Sequence[Sequence]) -> str:
     if fmt == "csv":
-        return _emit_csv(columns, rows)
+        return _emit_csv(columns, cols)
     if fmt == "json":
-        return _emit_json(config, columns, rows)
-    return _emit_table(columns, rows)
+        return _emit_json(config, columns, cols)
+    return _emit_table(columns, cols)
 
 
 def _write(document: str, output: str | None) -> None:
@@ -308,12 +311,13 @@ def levels(q, s, twice_j_max, mode, units, fmt, output) -> None:
     d = _resolve_deformation(q, s)
     unit, factor = _UNIT_FLAGS[units]
     table = level_table(SpinLabel(twice_j_max), d, mode)
+    js, twice_abs_m, energies, multiplicity, n = zip(*table)
     columns = ["twice_j", "twice_abs_m", "n", "energy", "unit", "multiplicity"]
-    rows = [(j.twice_j, twice_abs_m, n, e * factor, unit, multiplicity)
-            for j, twice_abs_m, e, multiplicity, n in table]
+    cols = [list(map(attrgetter("twice_j"), js)), twice_abs_m, n,
+            [e * factor for e in energies], [unit] * len(table), multiplicity]
     config = {"command": "levels", "q": d.q, "s": d.s, "twice_j_max": twice_j_max,
               "mode": mode, "units": unit}
-    _write(_render(fmt, config, columns, rows), output)
+    _write(_render(fmt, config, columns, cols), output)
 
 
 def states(twice_j, mode, fmt, output) -> None:
@@ -321,9 +325,10 @@ def states(twice_j, mode, fmt, output) -> None:
     _check_size(_state_count(twice_j, mode), "states", f"'--j': {twice_j}")
     state_list = enumerate_states(SpinLabel(twice_j), mode)
     columns = ["twice_j", "twice_m", "twice_p"]
-    rows = [(st.j.twice_j, st.twice_m, st.twice_p) for st in state_list]
-    config = {"command": "states", "twice_j": twice_j, "mode": mode, "count": len(rows)}
-    _write(_render(fmt, config, columns, rows), output)
+    cols = [[st.j.twice_j for st in state_list], [st.twice_m for st in state_list],
+            [st.twice_p for st in state_list]]
+    config = {"command": "states", "twice_j": twice_j, "mode": mode, "count": len(state_list)}
+    _write(_render(fmt, config, columns, cols), output)
 
 
 def lines(q, s, twice_j_max, lower_twice_j, lower_twice_abs_m, units, fmt, output) -> None:
@@ -332,17 +337,17 @@ def lines(q, s, twice_j_max, lower_twice_j, lower_twice_abs_m, units, fmt, outpu
     d = _resolve_deformation(q, s)
     unit, factor = _UNIT_FLAGS[units]
     table = series_table(SpinLabel(lower_twice_j), lower_twice_abs_m, SpinLabel(twice_j_max), d)
+    # An empty series (no level above the lower one) gives empty columns.
+    uppers, lowers, deltas, wavenumbers, wavelengths = zip(*table) if table else [()] * 5
     columns = ["upper_twice_j", "upper_twice_abs_m", "lower_twice_j", "lower_twice_abs_m",
                "delta_energy", "unit", "wavenumber_per_cm", "wavelength_nm"]
-    rows = [
-        (upper_j.twice_j, upper_tam, lower_j.twice_j, lower_tam, delta * factor, unit,
-         wavenumber, wavelength)
-        for (upper_j, upper_tam), (lower_j, lower_tam), delta, wavenumber, wavelength in table
-    ]
+    cols = [[j.twice_j for j, _ in uppers], [tam for _, tam in uppers],
+            [j.twice_j for j, _ in lowers], [tam for _, tam in lowers],
+            [delta * factor for delta in deltas], [unit] * len(table), wavenumbers, wavelengths]
     config = {"command": "lines", "q": d.q, "s": d.s, "twice_j_max": twice_j_max,
               "lower_twice_j": lower_twice_j, "lower_twice_abs_m": lower_twice_abs_m,
               "units": unit}
-    _write(_render(fmt, config, columns, rows), output)
+    _write(_render(fmt, config, columns, cols), output)
 
 
 def scan(twice_j, s_values_text, s_min, s_max, s_count, fmt, output) -> None:
@@ -374,11 +379,11 @@ def scan(twice_j, s_values_text, s_min, s_max, s_count, fmt, output) -> None:
     _check_size(s_count * (twice_j // 2 + 1), "rows", count)
     if s_values_text is None:
         s_values = _linspace(s_min, s_max, s_count)
-    # The ScanRow fields are the columns, so rows render as they come.
-    rows = splitting_scan(SpinLabel(twice_j), s_values)
+    # The ScanRow fields are the columns, so the rows' transpose renders as it is.
+    cols = list(zip(*splitting_scan(SpinLabel(twice_j), s_values)))
     columns = ScanRow._fields
     config = {"command": "scan", "twice_j": twice_j, "s_count": len(s_values)}
-    _write(_render(fmt, config, columns, rows), output)
+    _write(_render(fmt, config, columns, cols), output)
 
 
 def verify(q, s, twice_j_max, tolerance, fmt, output) -> None:
@@ -402,7 +407,7 @@ def verify(q, s, twice_j_max, tolerance, fmt, output) -> None:
                          rep.tolerance, rep.passed))
     config = {"command": "verify", "q": d.q, "s": d.s, "twice_j_max": twice_j_max,
               "tolerance": tolerance}
-    _write(_render(fmt, config, columns, rows), output)
+    _write(_render(fmt, config, columns, list(zip(*rows))), output)
     if failed:
         raise VerificationFailedError(
             f"{failed} of {len(rows)} relations exceeded tolerance {tolerance:g}"

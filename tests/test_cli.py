@@ -1087,7 +1087,8 @@ def _fresh(value):
 
 
 class TestColumnFormatters:
-    @pytest.mark.parametrize("n_rows", [0, 1, 7, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                        2 * _CHUNK_ROWS + 1])
     @settings(max_examples=20, deadline=None)
     @given(specs=st.lists(_column_specs(), min_size=2, max_size=6),
            run=st.sampled_from([1, 2, 3, 7, 1000]), fresh=st.booleans())
@@ -1131,6 +1132,11 @@ class TestColumnFormatters:
     # A flagged row first: its empty cells set no width.
     @example(specs=[("energy", [None, -0.0625, 2.5e-310]), ("flag", ["overflow", "", ""])],
              run=1, fresh=False)
+    # The widest cell of each column only in the last row, which at
+    # 2 * _CHUNK_ROWS + 1 rows is a chunk of its own.
+    @example(specs=[("energy", [-0.5, -1.23456789012345e-300]),
+                    ("twice_abs_m", [0, 1, 12345]), ("relation", ["", "a", "a,b,c,d,e,f"])],
+             run=2 * _CHUNK_ROWS, fresh=False)
     def test_render_matches_per_cell_emitters(self, n_rows, specs, run, fresh):
         # Row i takes pool value i // run + k in column k, so ``run`` rows
         # in a row share one value and neighbours in a pool are neighbours
@@ -1140,11 +1146,13 @@ class TestColumnFormatters:
                 for i in range(n_rows)]
         if fresh:
             rows = [tuple(map(_fresh, row)) for row in rows]
+        # `_render` takes the columns; the oracles read the rows.
+        cols = [tuple(row[k] for row in rows) for k in range(len(columns))]
         config = {"command": "x", "q": -0.0, "s": 5e-324, "mode": 'a"b', "count": 10 ** 20}
         for fmt, oracle in _ORACLE.items():
             # Compared line by line: a failure then names the first differing
             # line instead of diffing two documents of thousands of rows.
-            got = _render(fmt, config, columns, rows).splitlines(keepends=True)
+            got = _render(fmt, config, columns, cols).splitlines(keepends=True)
             assert got == oracle(config, columns, rows).splitlines(keepends=True)
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
@@ -1221,11 +1229,15 @@ class TestRenderContract:
             assert run_cli(capsys, *args, "--format", fmt)[0] == code, args
         assert len(calls) == len(self.RUNS)
         seen = set()
-        for got_fmt, config, columns, rows in calls:
+        for got_fmt, config, columns, cols in calls:
             assert got_fmt == fmt
             assert 3 <= len(columns) <= 8, columns
+            assert len(cols) == len(columns), (config, columns)
+            # Every column is as long as the first: one cell per row.
+            assert {len(values) for values in cols} == {len(cols[0])}, config
             assert {type(v) for v in config.values()} <= {str, int, float}, config
-            for name, values in zip(columns, zip(*rows)):
+            # An empty table has no cells to take a kind from.
+            for name, values in zip(columns, cols if cols[0] else ()):
                 kinds = frozenset(map(type, values))
                 if name in _FRACTION_COLUMNS:
                     assert kinds == {int}, (config, name, kinds)
@@ -1233,6 +1245,6 @@ class TestRenderContract:
                     assert kinds in ({int}, {str}, {bool}) or kinds <= {float, NoneType}, (
                         config, name, kinds)
                 seen.add(kinds)
-            seen.add(len(rows) > 0)
+            seen.add(len(cols[0]) > 0)
         # The grid reached the kinds a narrower one could miss.
         assert {frozenset({float, NoneType}), frozenset({bool}), False} <= seen

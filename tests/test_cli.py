@@ -1135,7 +1135,7 @@ class TestColumnFormatters:
     # The widest cell of each column only in the last row, which at
     # 2 * _CHUNK_ROWS + 1 rows is a chunk of its own.
     @example(specs=[("energy", [-0.5, -1.23456789012345e-300]),
-                    ("twice_abs_m", [0, 1, 12345]), ("relation", ["", "a", "a,b,c,d,e,f"])],
+                    ("twice_abs_m", [0, 1, 12345]), ("relation", ["a,b,c,d,e,f", "", "a"])],
              run=2 * _CHUNK_ROWS, fresh=False)
     def test_render_matches_per_cell_emitters(self, n_rows, specs, run, fresh):
         # Row i takes pool value i // run + k in column k, so ``run`` rows

@@ -43,6 +43,7 @@ from .qnum import (
     DeformationParameter,
     QNumberOverflowError,
     SpinLabel,
+    _qnumbers,
     _set,
     _tolerance,
     _Value,
@@ -70,8 +71,8 @@ class IrrepMatrices(_Value):
     that of I-.  ``half_brackets`` holds, at half-integer j, the
     brackets [1/2], [3/2], ..., [j+1] the Casimir check reads, when the
     builder evaluated them for the run (:func:`build_irreps` does); it
-    is None otherwise, and the check evaluates them.  These tuples of
-    floats are all that the module stores.
+    is None otherwise, and the check evaluates them in one run, [j+1]
+    first.  These tuples of floats are all that the module stores.
     """
 
     __slots__ = ("j", "d", "ladder", "brackets", "half_brackets")
@@ -282,12 +283,9 @@ def _casimir_band(r: IrrepMatrices, n: int) -> tuple[list[float], float]:
     The brackets [j+1], [j], ... are sliced only up to the n + 1 it reads."""
     tj = r.j.twice_j
     # [0], [1], ... or [1/2], [3/2], ..., up to [j+1] at least.
-    if tj % 2 == 0:
-        ascending = r.brackets
-    elif r.half_brackets is not None:
-        ascending = r.half_brackets
-    else:
-        ascending = [qnumber(t / 2.0, r.d) for t in range(tj + 2, 0, -2)][::-1]
+    ascending = r.half_brackets if tj % 2 else r.brackets
+    if ascending is None:  # one run from [j+1] down, read ascending
+        ascending = _qnumbers([t / 2.0 for t in range(tj + 2, 0, -2)], r.d)[::-1]
     # [j+1], [j], ..., then below zero [-x] = -[x] for x = [1] or [1/2] on.
     brackets = [*ascending[tj // 2 + 1::-1],
                 *map(neg, ascending[1 - tj % 2:n - tj // 2 - tj % 2])]
@@ -305,11 +303,12 @@ def casimir_identity_report(r: IrrepMatrices, tol: float) -> VerificationReport:
     one value [j][j+1], with the bits of the dense product.  Integer
     brackets are read from the irrep; at half-integer j, [j+1], ...,
     [1/2] are read from ``r.half_brackets`` when the irrep carries them
-    (:func:`build_irreps`) and otherwise evaluated here, [j+1] first.
-    A mirrored ladder lets the weights down to m = 0 (-1/2) decide the
-    report.  Raises :class:`QNumberOverflowError` if an entry is not
-    finite, TypeError for a bool (built-in or numpy) or text ``tol``,
-    and ValueError for a ``tol`` that is not finite and positive.
+    (:func:`build_irreps`) and otherwise evaluated here in one
+    ``qnum._qnumbers`` run, [j+1] first.  A mirrored ladder lets the
+    weights down to m = 0 (-1/2) decide the report.  Raises
+    :class:`QNumberOverflowError` if an entry is not finite, TypeError
+    for a bool (built-in or numpy) or text ``tol``, and ValueError for
+    a ``tol`` that is not finite and positive.
     """
     tol = _tolerance(tol, "tol")
     lhs, c = _casimir_band(r, _read(r))

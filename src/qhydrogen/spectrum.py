@@ -187,17 +187,17 @@ def denominator(j: SpinLabel, twice_m: int, d: DeformationParameter) -> float:
     is not positive, instead of silently producing an unbound "bound"
     state.  That happens at q = 2 and 2j >= 1022 for 2|m| >= 1022, where
     [j][j+1] and the m term both overflow and D = inf - inf is NaN.
-    D is even in m, and is evaluated at |m| from the brackets
-    [j], [j+1], [|m|], [|m|+1] and [||m|-1|], each distinct one once and
-    in that order, so it is bit-identical under m -> -m and collapses to
-    the exact integer 2(2j+1)^2 at s = 0.
+    D is even in m, and is evaluated at |m| from one ``_qnumbers`` run
+    [j], [j+1], [|m|], [|m|+1], [||m|-1|], raising at the first beyond a
+    double, so it is bit-identical under m -> -m and collapses to the
+    exact integer 2(2j+1)^2 at s = 0.
     """
     _check_weight(j, twice_m, "twice_m")
     tj, tam = j.twice_j, abs(twice_m)
-    keys = dict.fromkeys((tj, tj + 2, tam, tam + 2, abs(tam - 2)))
-    b = {k: qnumber(k / 2.0, d) for k in keys}
-    m_terms = _m_terms((b[tam], b[tam + 2]), b[tam - 2] if tam >= 2 else -b[2 - tam])
-    (value,) = _denominators(8.0 * (b[tj] * b[tj + 2]), m_terms, (2.0 * (tam * tam),))
+    bj, bj1, bm, bm1, low = _qnumbers(
+        [k / 2.0 for k in (tj, tj + 2, tam, tam + 2, abs(tam - 2))], d)
+    m_terms = _m_terms((bm, bm1), low if tam >= 2 else -low)
+    (value,) = _denominators(8.0 * (bj * bj1), m_terms, (2.0 * (tam * tam),))
     if not value > 0.0:
         raise NonPositiveDenominatorError(tj, twice_m, d.q, value)
     return value

@@ -32,7 +32,13 @@ from qhydrogen.irreps import (
     verify_commutators,
     verify_so4_limit,
 )
-from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
+from qhydrogen.qnum import (
+    DeformationParameter,
+    QNumberOverflowError,
+    SpinLabel,
+    _qnumbers,
+    qnumber,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 Q_GRID = [0.5, 0.9, 1.0, 1.1, 2.0, 5.0]
@@ -206,10 +212,16 @@ class TestBracketsOnce:
             seen.append(float(x))
             return qnumber(x, d)
 
-        # Every bracket of a run goes through irreps.qnumber; spectrum's is
-        # watched too, so a bracket evaluated there would be counted.
-        monkeypatch.setattr(qhydrogen.irreps, "qnumber", recorded)
-        monkeypatch.setattr(qhydrogen.spectrum, "qnumber", recorded)
+        def recorded_run(xs, d):
+            seen.extend(xs)
+            return _qnumbers(xs, d)
+
+        # Every bracket goes through irreps.qnumber or irreps._qnumbers;
+        # spectrum's are watched too, so a bracket evaluated there would be
+        # counted.
+        for module in (qhydrogen.irreps, qhydrogen.spectrum):
+            monkeypatch.setattr(module, "qnumber", recorded)
+            monkeypatch.setattr(module, "_qnumbers", recorded_run)
         return seen
 
     @pytest.mark.parametrize("q", [1.0, 1.3, 0.7])

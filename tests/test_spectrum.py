@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import casimir_symmetrized, ladder_matrices
 from qhydrogen.irreps import build_irrep
-from qhydrogen.qnum import DeformationParameter, QNumberOverflowError, SpinLabel, qnumber
+from qhydrogen.qnum import (
+    DeformationParameter,
+    QNumberOverflowError,
+    SpinLabel,
+    _qnumbers,
+    qnumber,
+)
 from qhydrogen.spectrum import (
     EnergyLevel,
     NonPositiveDenominatorError,
@@ -51,26 +57,43 @@ class TestDenominator:
     @pytest.mark.parametrize(
         "tj, tm, brackets",
         [
-            (4, 4, [2.0, 3.0, 1.0]),  # [|m|] = [j] and [|m|+1] = [j+1]
-            (4, 0, [2.0, 3.0, 0.0, 1.0]),  # [||m|-1|] = [|m|+1]
-            (0, 0, [0.0, 1.0]),
+            (4, 4, [2.0, 3.0, 2.0, 3.0, 1.0]),  # [|m|] = [j] and [|m|+1] = [j+1]
+            (4, 0, [2.0, 3.0, 0.0, 1.0, 1.0]),  # [||m|-1|] = [|m|+1]
+            (0, 0, [0.0, 1.0, 0.0, 1.0, 1.0]),
         ],
     )
-    def test_each_distinct_bracket_is_evaluated_once(self, monkeypatch, tj, tm, brackets):
-        # In the order [j], [j+1], [|m|], [|m|+1], [||m|-1|], so the first
-        # bracket to overflow is the one the full list would raise first.
+    def test_brackets_are_one_run_in_order(self, monkeypatch, tj, tm, brackets):
+        # One run [j], [j+1], [|m|], [|m|+1], [||m|-1|], so the first
+        # bracket to overflow is the first of that list; a repeated
+        # argument is evaluated again.  A scalar call would be counted too.
         import qhydrogen.spectrum
 
         seen = []
 
         def recorded(x, d):
-            seen.append(x)
+            seen.append(("qnumber", x))
             return qnumber(x, d)
 
+        def recorded_run(xs, d):
+            seen.append(list(xs))
+            return _qnumbers(xs, d)
+
         monkeypatch.setattr(qhydrogen.spectrum, "qnumber", recorded)
+        monkeypatch.setattr(qhydrogen.spectrum, "_qnumbers", recorded_run)
         d = DeformationParameter(1.3)
         assert energy(SpinLabel(tj), tm, d) == -2.0 / denominator(SpinLabel(tj), -tm, d)
-        assert seen == brackets * 2
+        assert seen == [brackets, brackets]
+
+    @pytest.mark.parametrize("tm", [0, 8])
+    def test_first_bracket_of_the_run_names_the_overflow(self, tm):
+        # sinh(200 x) overflows from x = 3.55 on, so [j] = [5] and [j+1] = [6]
+        # overflow, and at |m| = 4 [|m|] = [4] too.  The run reads [j] first,
+        # so the message names x = 5.0, not [6] or [4] as a run in descending
+        # or ascending order would.
+        d = DeformationParameter.from_s(200.0)
+        for f in (energy, denominator):
+            with pytest.raises(QNumberOverflowError, match=r"at x=5\.0, s=200\.0$"):
+                f(SpinLabel(10), tm, d)
 
     def test_error_carries_context(self):
         err = NonPositiveDenominatorError(4, 2, 1.5, -0.25)

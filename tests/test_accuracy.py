@@ -171,11 +171,12 @@ def test_energy_property_over_the_domain(u, sign, tj):
 
     The domain is q = e^(+-10^u), u in [-12, log10 50], drawn on both sides
     of 1, and every 2j <= 120, a spin's every |m|.  Its bounds:
-    - |s| >= 1e-12 reaches below the bracket's series threshold, 1e-4, by
-      eight decades; nearer q = 1 the exact oracle's ints only grow;
-    - |s| <= 50 keeps sinh(s x) clear of a false overflow (item 4), which
-      cannot occur where E is normal as long as |s| < 355, and reaches the
-      levels where E leaves the doubles;
+    - |s| >= 1e-12, the ledgers' smallest s, lies eight decades inside the
+      bracket's series branch (|s| < 1e-4); below about 1e-16, q = e^s
+      rounds to 1 and nothing is deformed;
+    - |s| <= 50 keeps clear of item 4's false sinh(s x) overflow, which
+      cannot occur where E is normal while |s| < 355; at |s| = 50 only
+      2j <= 15 has a normal E, so the draws reach where E leaves the doubles;
     - where the exact E is subnormal or zero (item 5's regime, held by its
       grid xfails), energy is not compared and may raise.
 

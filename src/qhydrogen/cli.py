@@ -91,10 +91,6 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return points
 
 
-class UsageError(ValueError):
-    """A refused invocation by a rule the library does not own; `main` returns 1."""
-
-
 class VerificationFailedError(Exception):
     """At least one relation in a `verify` run exceeded its tolerance."""
 
@@ -253,12 +249,12 @@ def _write(document: str, output: str | None) -> None:
     try:
         handle = open(output, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise UsageError(f"Could not open file {output!r}: {exc.strerror}") from None
+        raise ValueError(f"Could not open file {output!r}: {exc.strerror}") from None
     try:
         with handle:
             handle.write(document)
     except OSError as exc:
-        raise UsageError(f"Could not write file {output!r}: {exc.strerror}") from None
+        raise ValueError(f"Could not write file {output!r}: {exc.strerror}") from None
 
 
 # The most rows (or, for verify and dump-irrep, matrix entries) one command
@@ -293,13 +289,13 @@ def _ladder_entries(twice_j_max: int) -> int:
 def _check_size(size: int, unit: str, what: str) -> None:
     """Refuse a command whose size, from its options alone, is above _MAX_SIZE."""
     if size > _MAX_SIZE:
-        raise UsageError(f"Invalid value for {what} would build {size} {unit}; "
+        raise ValueError(f"Invalid value for {what} would build {size} {unit}; "
                          f"at most {_MAX_SIZE}.")
 
 
 def _resolve_deformation(q: float | None, s: float | None) -> DeformationParameter:
     if q is not None and s is not None:
-        raise UsageError("--q and --s are mutually exclusive")
+        raise ValueError("--q and --s are mutually exclusive")
     if s is not None:
         return DeformationParameter.from_s(s)
     return DeformationParameter(1.0 if q is None else q)
@@ -325,7 +321,7 @@ def states(twice_j, mode, fmt, output) -> None:
     _check_size(_state_count(twice_j, mode), "states", f"'--j': {twice_j}")
     state_list = enumerate_states(SpinLabel(twice_j), mode)
     columns = ["twice_j", "twice_m", "twice_p"]
-    cols = [[st.j.twice_j for st in state_list], [st.twice_m for st in state_list],
+    cols = [[twice_j] * len(state_list), [st.twice_m for st in state_list],
             [st.twice_p for st in state_list]]
     config = {"command": "states", "twice_j": twice_j, "mode": mode, "count": len(state_list)}
     _write(_render(fmt, config, columns, cols), output)
@@ -338,11 +334,12 @@ def lines(q, s, twice_j_max, lower_twice_j, lower_twice_abs_m, units, fmt, outpu
     unit, factor = _UNIT_FLAGS[units]
     table = series_table(SpinLabel(lower_twice_j), lower_twice_abs_m, SpinLabel(twice_j_max), d)
     # An empty series (no level above the lower one) gives empty columns.
-    uppers, lowers, deltas, wavenumbers, wavelengths = zip(*table) if table else [()] * 5
+    # Every line ends on the lower level, so its two columns repeat the arguments.
+    uppers, _, deltas, wavenumbers, wavelengths = zip(*table) if table else [()] * 5
     columns = ["upper_twice_j", "upper_twice_abs_m", "lower_twice_j", "lower_twice_abs_m",
                "delta_energy", "unit", "wavenumber_per_cm", "wavelength_nm"]
     cols = [[j.twice_j for j, _ in uppers], [tam for _, tam in uppers],
-            [j.twice_j for j, _ in lowers], [tam for _, tam in lowers],
+            [lower_twice_j] * len(table), [lower_twice_abs_m] * len(table),
             [delta * factor for delta in deltas], [unit] * len(table), wavenumbers, wavelengths]
     config = {"command": "lines", "q": d.q, "s": d.s, "twice_j_max": twice_j_max,
               "lower_twice_j": lower_twice_j, "lower_twice_abs_m": lower_twice_abs_m,
@@ -360,10 +357,10 @@ def scan(twice_j, s_values_text, s_min, s_max, s_count, fmt, output) -> None:
         try:
             s_values = [float(tok) for tok in s_values_text.split(",") if tok.strip()]
         except ValueError:
-            raise UsageError(f"--s-values is not a comma-separated float list: "
+            raise ValueError(f"--s-values is not a comma-separated float list: "
                              f"{s_values_text!r}") from None
         if not s_values:
-            raise UsageError("--s-values contained no values")
+            raise ValueError("--s-values contained no values")
         for value in s_values:
             _finite(value, "--s-values")
         s_count = len(s_values)
@@ -373,7 +370,7 @@ def scan(twice_j, s_values_text, s_min, s_max, s_count, fmt, output) -> None:
         _finite(s_max, "--s-max")
         if not math.isfinite(s_max - s_min):
             # The grid would hold inf - inf and 0 * inf points (nan).
-            raise UsageError(f"--s-min {s_min!r} and --s-max {s_max!r} are too far "
+            raise ValueError(f"--s-min {s_min!r} and --s-max {s_max!r} are too far "
                              f"apart: their difference overflows")
         count = f"'--j' and '--s-count': {twice_j} and {s_count}"
     _check_size(s_count * (twice_j // 2 + 1), "rows", count)
@@ -578,13 +575,13 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[..., None], dict[str, Any]] | 
     appear, then the defaults fill in.
     """
     if not argv:
-        raise UsageError("Missing command.")
+        raise ValueError("Missing command.")
     name, *tokens = argv
     if name == "--help":
         _write(_help(None), None)
         return None
     if name not in _COMMANDS:
-        raise UsageError(f"No such {'option' if name[:1] == '-' else 'command'} {name!r}.")
+        raise ValueError(f"No such {'option' if name[:1] == '-' else 'command'} {name!r}.")
     fn, options = _COMMANDS[name]
     given: dict[str, str] = {}
     extra: list[str] = []
@@ -599,16 +596,16 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[..., None], dict[str, Any]] | 
             flag, eq, value = token.partition("=")
             if flag == "--help":
                 if eq:
-                    raise UsageError("Option '--help' does not take a value.")
+                    raise ValueError("Option '--help' does not take a value.")
                 wants_help = True
             elif flag not in options:
-                raise UsageError(f"No such option {flag!r}.")
+                raise ValueError(f"No such option {flag!r}.")
             elif eq:
                 given[flag] = value
             else:
                 value = next(rest, None)
                 if value is None:
-                    raise UsageError(f"Option {flag!r} requires an argument.")
+                    raise ValueError(f"Option {flag!r} requires an argument.")
                 given[flag] = value
     if wants_help:
         _write(_help(name), None)
@@ -624,7 +621,7 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[..., None], dict[str, Any]] | 
             else:
                 kwargs[dest] = convert(text)
         except ValueError as exc:
-            raise UsageError(f"Invalid value for {flag!r}: {exc}") from None
+            raise ValueError(f"Invalid value for {flag!r}: {exc}") from None
     for flag, (dest, convert, default, _) in options.items():
         if flag in given:
             continue
@@ -632,11 +629,11 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[..., None], dict[str, Any]] | 
             message = f"Missing option {flag!r}."
             if isinstance(convert, tuple):
                 message += " Choose from:\n\t" + ",\n\t".join(convert)
-            raise UsageError(message)
+            raise ValueError(message)
         kwargs[dest] = default
     if extra:
         plural = "s" if len(extra) > 1 else ""
-        raise UsageError(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
+        raise ValueError(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
     return fn, kwargs
 
 
@@ -668,14 +665,14 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         # Only a stdout write gets here: _write turns an --output failure
-        # into a UsageError.
+        # into a ValueError.
         with open(os.devnull, "wb") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
             print(f"Error: Could not write to stdout: {exc.strerror}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        # A UsageError, or a library refusal of an option's value.
+        # A refusal by this module's own checks, or a library refusal of an option's value.
         print(f"Error: {exc}", file=sys.stderr)
         return 1
     except (NonPositiveDenominatorError, QNumberOverflowError, VerificationFailedError) as exc:

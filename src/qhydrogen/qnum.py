@@ -225,7 +225,7 @@ def qnumber(x: float, d: DeformationParameter) -> float:
     """
     x = _finite(x, "x")
     if x < 0.0:
-        return -qnumber(-x, d)
+        return -_qnumbers((-x,), d)[0]
     return _qnumbers((x,), d)[0]
 
 

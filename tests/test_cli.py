@@ -25,6 +25,7 @@ from qhydrogen.cli import (
     _ladder_entries,
     _level_rows,
     _linspace,
+    _parse,
     _render,
     _state_count,
     _texts,
@@ -787,6 +788,14 @@ class TestParser:
         assert (code, out) == (1, "")
         assert err.startswith("Error: ") and "Traceback" not in err
         assert message in err
+
+    @pytest.mark.parametrize("argv", [[], ["levels", "--q"], ["levels", "--q", "abc"]],
+                             ids=["no-command", "missing-value", "invalid-float"])
+    def test_refusals_are_plain_value_errors(self, argv):
+        # main maps every ValueError to exit 1, so the parser needs no type of its own.
+        with pytest.raises(ValueError) as refused:
+            _parse(argv)
+        assert type(refused.value) is ValueError
 
     @pytest.mark.parametrize(
         "argv, flag",
